@@ -1,17 +1,20 @@
 #!/usr/bin/env python
 """CI telemetry smoke: live monitoring plus a forced-deadlock postmortem.
 
-Run once per backend (``--backend shm`` / ``--backend tcp``):
+Run once per backend (``--backend shm`` / ``tcp`` / ``launched``):
 
 1. **Monitored sweep** — a small ``mp_hooi_dt`` run on 4 processes
-   with a :class:`TelemetryMonitor` attached: heartbeats must arrive
-   from every rank, every rank must finish ``ok``, and the JSONL
-   export must validate against telemetry schema v1.
+   (``launched``: a small sweep program on 4 ``launch_spmd``
+   subprocesses) with a :class:`TelemetryMonitor` attached: heartbeats
+   must arrive from every rank, every rank must finish ``ok``, and the
+   JSONL export must validate against telemetry schema v1.
 2. **Forced deadlock** — a seeded divergence (one rank exits a
-   collective early): the raised ``RankFailureError`` must carry a
-   merged causal postmortem naming the diverging rank and the
-   collective it skipped, the flight-recorder tails must appear in the
-   error message, and the monitor must log the ``postmortem`` record.
+   collective early), forked by ``run_spmd`` on the shm/tcp legs and
+   spawned by ``launch_spmd`` on the launched leg: the raised
+   ``RankFailureError`` must carry a merged causal postmortem whose
+   verdict is the same literal on every leg, the flight-recorder tails
+   must appear in the error message, and the monitor must log the
+   ``postmortem`` record.
 
 Artifacts (``telemetry-<backend>.jsonl``, ``postmortem-<backend>.txt``)
 are written to ``--out-dir`` for upload.  Exits non-zero on any
@@ -22,11 +25,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 
 from repro.core.hooi import HOOIOptions
+from repro.distributed.launch import launch_spmd
 from repro.distributed.mp_hooi import mp_hooi_dt
 from repro.observability.telemetry import (
     TelemetryMonitor,
@@ -38,6 +43,12 @@ from repro.vmpi.mp_comm import CommConfig, RankFailureError, run_spmd
 SIZE = 4
 GRID = (2, 2, 1)
 SHAPE, RANKS = (16, 14, 12), (4, 4, 3)
+BACKENDS = ("shm", "tcp", "launched")
+#: The forced deadlock's verdict: one literal for every backend.
+DEADLOCK_VERDICT = (
+    "rank(s) [1] completed while ranks [0, 2, 3] still blocked in "
+    "allreduce (op #2)"
+)
 
 
 def _deadlock_program(comm):
@@ -50,6 +61,35 @@ def _deadlock_program(comm):
     return "late"
 
 
+def _sweep_program(comm) -> int:
+    """A few monitored iterations, slow enough for heartbeats."""
+    for it in range(1, 4):
+        comm.phase = "ttm"
+        comm.note_progress(iteration=it, total=3)
+        comm.allreduce(np.ones(4))
+        time.sleep(0.3)
+    return comm.rank
+
+
+def _run(backend: str, fn, config: CommConfig, monitor) -> list:
+    """``fn`` on SIZE ranks: spawned by ``launch_spmd`` for the
+    launched backend, forked by ``run_spmd`` otherwise."""
+    if backend == "launched":
+        # Spawned ranks unpickle the program by module name, and
+        # "__main__" names their own entry point: resolve it through
+        # this file imported as a module.
+        import telemetry_smoke
+
+        return launch_spmd(
+            getattr(telemetry_smoke, fn.__name__), SIZE, config=config,
+            timeout=60.0, monitor=monitor,
+        )
+    return run_spmd(
+        fn, SIZE, timeout=60.0, transport=backend, config=config,
+        monitor=monitor,
+    )
+
+
 def _check(ok: bool, what: str) -> None:
     if not ok:
         raise SystemExit(f"telemetry smoke FAILED: {what}")
@@ -59,15 +99,18 @@ def monitored_sweep(backend: str, out_dir: Path) -> None:
     mon = TelemetryMonitor(stall_after=30.0)
     x = tucker_plus_noise(SHAPE, RANKS, noise=1e-4, seed=0)
     cfg = CommConfig(telemetry_interval=0.1)
-    mp_hooi_dt(
-        x,
-        RANKS,
-        GRID,
-        HOOIOptions(max_iters=2, seed=0),
-        comm_config=cfg,
-        transport=backend,
-        monitor=mon,
-    )
+    if backend == "launched":
+        _run(backend, _sweep_program, cfg, mon)
+    else:
+        mp_hooi_dt(
+            x,
+            RANKS,
+            GRID,
+            HOOIOptions(max_iters=2, seed=0),
+            comm_config=cfg,
+            transport=backend,
+            monitor=mon,
+        )
     path = out_dir / f"telemetry-{backend}.jsonl"
     mon.write_jsonl(str(path))
     counts = validate_telemetry_jsonl(path.read_text().splitlines())
@@ -90,14 +133,11 @@ def monitored_sweep(backend: str, out_dir: Path) -> None:
 def forced_deadlock(backend: str, out_dir: Path) -> None:
     mon = TelemetryMonitor(stall_after=30.0)
     try:
-        run_spmd(
+        _run(
+            backend,
             _deadlock_program,
-            SIZE,
-            timeout=60.0,
-            transport=backend,
-            collective_timeout=3.0,
-            config=CommConfig(telemetry_interval=0.1),
-            monitor=mon,
+            CommConfig(collective_timeout=3.0, telemetry_interval=0.1),
+            mon,
         )
     except RankFailureError as exc:
         pm = exc.postmortem
@@ -111,7 +151,7 @@ def forced_deadlock(backend: str, out_dir: Path) -> None:
             f"collective {pm.collective!r} op {pm.op_id} != allreduce #2",
         )
         _check(
-            "rank(s) [1] completed" in pm.verdict,
+            pm.verdict == DEADLOCK_VERDICT,
             f"unexpected verdict: {pm.verdict}",
         )
         _check(
@@ -132,7 +172,7 @@ def forced_deadlock(backend: str, out_dir: Path) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--backend", choices=["shm", "tcp"], default="shm")
+    ap.add_argument("--backend", choices=BACKENDS, default="shm")
     ap.add_argument("--out-dir", default=".")
     args = ap.parse_args(argv)
     out_dir = Path(args.out_dir)

@@ -25,16 +25,18 @@ The env contract (everything a rank needs to join a job):
     Transport backend (currently ``"tcp"``; the fork path of
     ``run_spmd`` covers ``"shm"``).
 ``REPRO_PROGRAM``
-    Path to the pickled ``(fn, args, config)`` job file.  Only
-    meaningful on a shared filesystem (loopback now; for multi-host
-    the job file must be shipped first — the contract deliberately
-    keeps that concern out of the worker).
+    Path to the pickled ``(pickle.dumps(fn), args, config)`` job
+    file.  Only meaningful on a shared filesystem (loopback now; for
+    multi-host the job file must be shipped first — the contract
+    deliberately keeps that concern out of the worker).
 
 Entry point: ``python -m repro.distributed.launch`` reads the
-contract, builds a :class:`~repro.vmpi.transport.TcpSocketTransport`
-plus :class:`~repro.vmpi.mp_comm.ProcessComm`, runs the program, and
-reports ``("result", rank, status, payload)`` back over a fresh
-connection to the rendezvous address.
+contract and runs the same rank body as a forked rank
+(:func:`repro.vmpi.mp_comm._rank_body` over a
+:class:`~repro.vmpi.transport.TcpSocketTransport`), posting each
+``(rank, status, payload)`` report over a fresh connection to the
+rendezvous address.  The launcher feeds those reports to the same
+collector as ``run_spmd``, so failures get the same verdict.
 """
 
 from __future__ import annotations
@@ -46,8 +48,6 @@ import socket
 import subprocess
 import sys
 import tempfile
-import time
-import traceback as traceback_mod
 from collections.abc import Callable, Sequence
 
 from dataclasses import replace
@@ -55,14 +55,11 @@ from dataclasses import replace
 from repro.vmpi.mp_comm import (
     CommConfig,
     ProcessComm,
-    RankFailureError,
-    TcpSocketTransport,
-    _flight_snapshot,
+    _rank_body,
+    _ReportCollector,
 )
 from repro.vmpi.transport import (
     CollectiveTimeoutError,
-    TransportClosedError,
-    WorldRevokedError,
     _sock_recv_obj,
     _sock_send_obj,
     open_rendezvous_listener,
@@ -162,6 +159,9 @@ def launch_spmd(
     rendezvous listener, and post results back over the same listener.
     Returns each rank's return value in rank order; raises
     :class:`~repro.vmpi.mp_comm.RankFailureError` if any rank failed.
+    Ranks run ``run_spmd``'s rank body and their reports go through
+    its collector, so a failure gets the same failed/aborted split,
+    partial profiles, and postmortem verdict as a forked tcp run.
 
     ``monitor`` mirrors ``run_spmd``'s parameter: ranks push periodic
     telemetry heartbeats over fresh rendezvous connections (out of
@@ -192,16 +192,15 @@ def launch_spmd(
     rendezvous = listener.getsockname()[:2]
     procs: list[subprocess.Popen] = []
     program_path = None
-    results: dict[int, object] = {}
-    errors: dict[int, dict] = {}
-    recoveries: dict[int, dict] = {}
-    flights: dict[int, object] = {}
+    reports = _ReportCollector(size, cfg, monitor)
     try:
         fd, program_path = tempfile.mkstemp(
             prefix="repro-job-", suffix=".pkl"
         )
         with os.fdopen(fd, "wb") as f:
-            pickle.dump((fn, args, cfg), f)
+            # fn travels pre-pickled, like run_spmd's, so a rank that
+            # cannot import it reports the error instead of dying.
+            pickle.dump((pickle.dumps(fn), args, cfg), f)
         # The pickled program references fn by module name: make its
         # defining module importable in the spawned rank too (the
         # package root alone covers repro-internal programs).
@@ -220,32 +219,11 @@ def launch_spmd(
             )
         if size > 1:
             serve_rendezvous(listener, size, cfg.tcp_connect_timeout)
-        deadline = time.monotonic() + timeout
-        listener.settimeout(0.25)
-        while len(results) + len(errors) + len(recoveries) < size:
-            if time.monotonic() >= deadline:
-                break
-            try:
-                conn, _ = listener.accept()
-            except socket.timeout:
-                # Liveness: a rank that died without reporting will
-                # never connect — don't wait out the full timeout.
-                if any(
-                    p.poll() is not None and r not in results
-                    and r not in errors and r not in recoveries
-                    for r, p in enumerate(procs)
-                ):
-                    time.sleep(0.5)  # drain stragglers' reports
-                    _collect_pending(
-                        listener, results, errors, recoveries,
-                        monitor=monitor, flights=flights,
-                    )
-                    break
-                continue
-            _read_report(
-                conn, results, errors, recoveries,
-                monitor=monitor, flights=flights,
-            )
+        reports.drain(
+            lambda wait: _accept_report(listener, wait),
+            lambda r: procs[r].poll(),
+            timeout,
+        )
     finally:
         listener.close()
         for p in procs:
@@ -261,138 +239,25 @@ def launch_spmd(
                 os.unlink(program_path)
             except OSError:  # pragma: no cover - already gone
                 pass
-    if len(results) < size:
-        failed = sorted(
-            r for r in range(size) if r not in results
-        )
-        # Failure reports embed the rank's ring; fold them in with any
-        # rings shipped out of band so the postmortem sees every rank
-        # that managed to report at all.
-        for src in (errors, recoveries):
-            for r, rep in src.items():
-                if rep.get("flight") is not None:
-                    flights[r] = rep["flight"]
-        postmortem = None
-        if flights:
-            from repro.observability.telemetry import build_postmortem
-
-            # Ranks that died without posting any report (process
-            # exit, SIGKILL) are the launched-mode "crashed" set.
-            crashed = {
-                r for r in failed
-                if r not in errors and r not in recoveries
-            }
-            postmortem = build_postmortem(
-                flights, completed=set(results), crashed=crashed,
-            )
-            if monitor is not None:
-                monitor.on_postmortem(
-                    postmortem.verdict, postmortem.diverging
-                )
-        lines = [
-            f"launched SPMD run failed: ranks {failed} did not succeed, "
-            f"{sorted(results)} succeeded"
-        ]
-        for r in failed:
-            if r in recoveries:
-                rep = recoveries[r]
-                lines.append(
-                    f"rank {r} survived and entered recovery "
-                    f"(agreed failed set {sorted(rep.get('failed', ()))}, "
-                    f"replica at iteration {rep.get('iteration')})"
-                )
-            elif r in errors:
-                rep = errors[r]
-                lines.append(f"rank {r} failed: {rep.get('error')}")
-                ring = flights.get(r)
-                if ring is not None and getattr(ring, "events", None):
-                    ftail = ring.tail()
-                    lines.append(
-                        f"rank {r} flight recorder "
-                        f"(last {len(ftail)} of {ring.seq} events):"
-                    )
-                    lines.extend(f"  {t}" for t in ftail)
-                tb = rep.get("traceback", "")
-                if tb:
-                    lines.append(f"rank {r} remote traceback:")
-                    lines.extend(
-                        f"  {t}" for t in tb.rstrip().splitlines()
-                    )
-            else:
-                code = procs[r].poll() if r < len(procs) else None
-                lines.append(
-                    f"rank {r} posted no result (exitcode {code})"
-                )
-        if postmortem is not None:
-            lines.extend(postmortem.lines())
-        raise RankFailureError(
-            "\n".join(lines),
-            failed=sorted(set(failed) - set(recoveries)),
-            succeeded=sorted(results),
-            exitcodes={
-                r: procs[r].poll()
-                for r in failed
-                if r < len(procs) and procs[r].poll() is not None
-            },
-            recovery_reports=recoveries,
-            flight_records=flights,
-            postmortem=postmortem,
-        )
-    return [results[r] for r in range(size)]
+    return reports.finish(timeout)
 
 
-def _read_report(
-    conn, results: dict, errors: dict, recoveries: dict | None = None,
-    monitor: object | None = None, flights: dict | None = None,
-) -> None:
+def _accept_report(listener: socket.socket, wait: float) -> tuple | None:
+    """The next ``(rank, status, payload)`` frame a rank posted to the
+    rendezvous listener, or ``None`` after ``wait`` idle seconds (or a
+    torn frame)."""
+    listener.settimeout(wait)
+    try:
+        conn, _ = listener.accept()
+    except OSError:  # socket.timeout included
+        return None
     try:
         with conn:
             conn.settimeout(5.0)
             msg = _sock_recv_obj(conn)
     except (OSError, CollectiveTimeoutError, pickle.PickleError):
-        return
-    if isinstance(msg, tuple) and len(msg) == 3:
-        # Out-of-band frames: telemetry heartbeats and pre-result
-        # flight rings, one fresh connection each.  Neither counts
-        # toward run completion.
-        kind, rank, payload = msg
-        if kind == "telemetry" and monitor is not None:
-            try:
-                monitor.on_sample(int(rank), payload)
-            except Exception:  # pragma: no cover - monitor is advisory
-                pass
-        elif kind == "flight" and flights is not None:
-            flights[int(rank)] = payload
-        return
-    if not (isinstance(msg, tuple) and len(msg) == 4
-            and msg[0] == "result"):
-        return
-    _, rank, status, payload = msg
-    if status == "ok":
-        results[int(rank)] = payload
-    elif status == "recovery" and recoveries is not None:
-        recoveries[int(rank)] = payload
-    else:
-        errors[int(rank)] = payload
-    if monitor is not None:
-        try:
-            monitor.on_done(int(rank), status)
-        except Exception:  # pragma: no cover - monitor is advisory
-            pass
-
-
-def _collect_pending(
-    listener, results: dict, errors: dict, recoveries: dict | None = None,
-    monitor: object | None = None, flights: dict | None = None,
-) -> None:
-    """Drain result connections already queued on the listener."""
-    while True:
-        try:
-            conn, _ = listener.accept()
-        except (socket.timeout, OSError):
-            return
-        _read_report(conn, results, errors, recoveries,
-                     monitor=monitor, flights=flights)
+        return None
+    return msg if isinstance(msg, tuple) and len(msg) == 3 else None
 
 
 # ---------------------------------------------------------------------------
@@ -412,10 +277,9 @@ def _smoke_program(comm: ProcessComm) -> float:
 
 
 def _post_frame(rendezvous: tuple[str, int], frame: tuple) -> None:
-    """Ship one frame to the rendezvous listener over a fresh
-    connection (the same connect-send-close discipline as result
-    reports, so telemetry never holds a socket the launcher must
-    babysit)."""
+    """Ship one report frame to the rendezvous listener over a fresh
+    connection (connect-send-close, so no rank holds a socket the
+    launcher must babysit)."""
     try:
         conn = socket.create_connection(rendezvous, timeout=10.0)
     except OSError:  # pragma: no cover - launcher already gone
@@ -424,11 +288,6 @@ def _post_frame(rendezvous: tuple[str, int], frame: tuple) -> None:
         _sock_send_obj(conn, frame)
     finally:
         conn.close()
-
-
-def _report(rendezvous: tuple[str, int], rank: int, status: str,
-            payload: object) -> None:
-    _post_frame(rendezvous, ("result", rank, status, payload))
 
 
 def _worker_main() -> int:
@@ -445,70 +304,17 @@ def _worker_main() -> int:
         )
         return 2
     with open(os.environ[ENV_PROGRAM], "rb") as f:
-        fn, args, cfg = pickle.load(f)
-    try:
-        channel = TcpSocketTransport(
-            rank, size, cfg, rendezvous if size > 1 else None
-        )
-    except Exception as exc:
-        _report(rendezvous, rank, "error", {
-            "error": repr(exc),
-            "traceback": traceback_mod.format_exc(),
-        })
-        return 1
-    comm = ProcessComm(rank, size, channel, cfg)
-    pusher = None
-    if cfg.telemetry_interval > 0:
-        from repro.observability.telemetry import TelemetryPusher
-
-        pusher = TelemetryPusher(
-            comm.telemetry_sample,
-            lambda sample: _post_frame(
-                rendezvous, ("telemetry", rank, sample)
-            ),
-            cfg.telemetry_interval,
-        )
-        pusher.start()
-    try:
-        out = fn(comm, *args)
-        comm.verify_shutdown()
-        # Ship the ring before the result so this rank's view is
-        # available for a postmortem even when peers later hang.
-        ring = _flight_snapshot(comm)
-        if ring is not None:
-            _post_frame(rendezvous, ("flight", rank, ring))
-        _report(rendezvous, rank, "ok", out)
-        return 0
-    except (WorldRevokedError, TransportClosedError) as exc:
-        mgr = comm.recovery_mgr
-        if mgr is not None:
-            try:
-                _report(rendezvous, rank, "recovery", mgr.on_failure(exc))
-                return 1
-            except Exception:  # pragma: no cover - agreement broke
-                pass
-        _report(rendezvous, rank, "error", {
-            "error": repr(exc),
-            "traceback": traceback_mod.format_exc(),
-            "trace_tail": comm.trace.tail(),
-            "flight": _flight_snapshot(comm),
-        })
-        return 1
-    except Exception as exc:
-        _report(rendezvous, rank, "error", {
-            "error": repr(exc),
-            "traceback": traceback_mod.format_exc(),
-            "trace_tail": comm.trace.tail(),
-            "flight": _flight_snapshot(comm),
-        })
-        return 1
-    finally:
-        if pusher is not None:
-            pusher.stop()
-        try:
-            channel.close()
-        except Exception:  # pragma: no cover - cleanup best-effort
-            pass
+        fn_bytes, args, cfg = pickle.load(f)
+    _rank_body(
+        fn_bytes, rank, size,
+        lambda status, payload: _post_frame(
+            rendezvous, (rank, status, payload)
+        ),
+        cfg, args,
+        backend="tcp",
+        rendezvous=rendezvous if size > 1 else None,
+    )
+    return 0
 
 
 if __name__ == "__main__":

@@ -6,7 +6,8 @@ communicator supporting the collectives the Tucker algorithms need
 (allreduce, reduce-scatter, allgather, broadcast, gather, barrier) with
 sub-communicators for the per-mode operations.
 
-Three transports are available:
+Two transports are available, both carrying the same
+:class:`ProcessComm` and collective algorithms:
 
 * ``"p2p"`` (alias ``"shm"``; default, :class:`ProcessComm` over
   :class:`~repro.vmpi.transport.ShmPoolTransport`) — a peer-to-peer
@@ -32,11 +33,12 @@ Three transports are available:
   (``shm_messages`` aside), just a slower wire; the backend that
   generalizes to multi-host runs via
   :mod:`repro.distributed.launch`.
-* ``"star"`` (legacy, :class:`StarComm`) — every collective routed
-  through a coordinator process.  Correct but neither
-  bandwidth-optimal nor latency-optimal; kept as a conformance
-  reference and benchmark baseline
-  (``benchmarks/bench_mp_transport.py``).
+
+Ranks are started either by forking (:func:`run_spmd`, either wire)
+or as independent subprocesses that mesh over tcp
+(:func:`repro.distributed.launch.launch_spmd`).  Both run the same
+rank body (:func:`_rank_body`) and hand their reports to the same
+collector, so a failure gets one verdict whichever launcher ran it.
 
 Programs must be *loosely synchronous*: every member of a collective's
 group must reach that collective after the same number of prior
@@ -66,9 +68,9 @@ import threading
 import time
 import traceback as traceback_mod
 import uuid
-from collections import deque
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
+from typing import Any
 
 import multiprocessing as mp
 import numpy as np
@@ -103,7 +105,6 @@ __all__ = [
     "ProcessComm",
     "RankFailureError",
     "ShmPoolTransport",
-    "StarComm",
     "TcpSocketTransport",
     "Transport",
     "TransportClosedError",
@@ -121,14 +122,7 @@ TRANSPORT_ALIASES = {
     "p2p": "p2p",
     "shm": "p2p",
     "tcp": "tcp",
-    "star": "star",
 }
-
-#: Backwards-compatible name for the extracted shm backend (PR 6 moved
-#: it to :mod:`repro.vmpi.transport` as :class:`ShmPoolTransport`).
-_PeerTransport = ShmPoolTransport
-
-_SENTINEL = "__done__"
 
 #: Liveness poll cadence of the launcher while awaiting results.
 _LIVENESS_POLL = 0.25
@@ -141,7 +135,8 @@ _ABORT_GRACE = 2.0
 
 
 class RankFailureError(RuntimeError):
-    """One or more SPMD ranks failed (raised by :func:`run_spmd`).
+    """One or more SPMD ranks failed (raised by :func:`run_spmd` and
+    :func:`repro.distributed.launch.launch_spmd`).
 
     The message carries, per failed rank, the remote traceback and the
     tail of its executed-collective trace; the attributes give the
@@ -216,7 +211,7 @@ class CommConfig:
     Attributes
     ----------
     collective_timeout:
-        Seconds any single message/coordinator wait may block before a
+        Seconds any single message wait may block before a
         :class:`CollectiveTimeoutError` is raised.
     shm_min_bytes:
         Array payloads of at least this many bytes travel through a
@@ -294,8 +289,7 @@ class CommConfig:
         pooled segment for use-after-release, double-release, and
         leak-at-exit.  Control traffic is counter-neutral (like the
         ``shmfree`` credits), so traces and reductions stay
-        bit-identical to a non-verify run.  Requires the ``"p2p"``
-        transport.
+        bit-identical to a non-verify run.
     profile:
         Arm the per-rank span profiler and metrics registry
         (:mod:`repro.observability`): nested spans for sweeps, phases,
@@ -307,7 +301,7 @@ class CommConfig:
         path is touched, so profiled runs stay bit- and
         trace-identical to plain runs; when off (default) no profiler
         exists and every boundary pays a single ``is None`` test, like
-        ``fault_plan``.  Requires the ``"p2p"`` transport.
+        ``fault_plan``.
     profile_max_spans:
         Span-buffer capacity per rank; once full, further spans are
         counted in ``RankProfile.dropped`` instead of recorded
@@ -329,7 +323,7 @@ class CommConfig:
         interleavings.  Nothing on the payload path changes, so
         clean detect-on runs stay bit- and trace-identical with
         bounded overhead (``bench_race_overhead.py`` gates <10 % in
-        CI).  Requires the ``"p2p"`` transport.
+        CI).
     overlap:
         Pipeline (double-buffer) the deterministic reduction
         collectives: each receive is prefetched on a per-rank overlap
@@ -434,8 +428,6 @@ class ProcessComm:
     synchronous* (see the module docstring); a diverged sequence fails
     with :class:`CollectiveTimeoutError` rather than deadlocking.
     """
-
-    transport = "p2p"
 
     def __init__(
         self,
@@ -571,7 +563,7 @@ class ProcessComm:
             return
         for a in arrays:
             if a.dtype.kind in "fc" and not np.all(np.isfinite(a)):
-                fr = getattr(self, "flight", None)
+                fr = self.flight
                 if fr is not None:
                     fr.record(
                         "guard", self._op_id, self.phase,
@@ -855,26 +847,43 @@ class ProcessComm:
 
     # -- collectives --------------------------------------------------------
 
+    def _collective(
+        self,
+        kind: str,
+        group: Sequence[int] | None,
+        run: Callable[[tuple[int, ...]], tuple[Any, str]],
+        /,
+        **verify: Any,
+    ) -> Any:
+        """One collective's hook sequence around its algorithm ``run``:
+        advance the counter and fire faults, verify the signature,
+        time it in a profiler span, record the trace, screen the
+        result (a no-op on barrier's ``None``)."""
+        group_t = self._group(group)
+        self._begin_collective(kind, len(group_t))
+        self._verify_collective(kind, group_t, **verify)
+        before = self._t.counters()
+        prof = self.profiler
+        if prof is not None:
+            prof.begin(kind, "collective", self.phase)
+        try:
+            out, algorithm = run(group_t)
+        finally:
+            if prof is not None:
+                prof.end()
+        self._record(kind, algorithm, len(group_t), before)
+        self._guard_numerics(kind, out)
+        return out
+
     def allreduce(
         self, block: np.ndarray, group: Sequence[int] | None = None
     ) -> np.ndarray:
         """Sum over the group; every member receives the total."""
-        group_t = self._group(group)
-        self._begin_collective("allreduce", len(group_t))
         block = np.asarray(block)
-        self._verify_collective("allreduce", group_t, op="sum", block=block)
-        before = self._t.counters()
-        prof = self.profiler
-        if prof is not None:
-            prof.begin("allreduce", "collective", self.phase)
-        try:
-            out, algorithm = self._allreduce(block, group_t)
-        finally:
-            if prof is not None:
-                prof.end()
-        self._record("allreduce", algorithm, len(group_t), before)
-        self._guard_numerics("allreduce", out)
-        return out
+        return self._collective(
+            "allreduce", group, lambda g: self._allreduce(block, g),
+            op="sum", block=block,
+        )
 
     def reduce_scatter(
         self,
@@ -884,24 +893,12 @@ class ProcessComm:
     ) -> np.ndarray:
         """Sum over the group, then scatter slabs along ``axis`` (the
         ``i``-th group member receives the ``i``-th slab)."""
-        group_t = self._group(group)
-        self._begin_collective("reduce_scatter", len(group_t))
         block = np.asarray(block)
-        self._verify_collective(
-            "reduce_scatter", group_t, op="sum", axis=axis, block=block
+        return self._collective(
+            "reduce_scatter", group,
+            lambda g: self._reduce_scatter(block, axis, g),
+            op="sum", axis=axis, block=block,
         )
-        before = self._t.counters()
-        prof = self.profiler
-        if prof is not None:
-            prof.begin("reduce_scatter", "collective", self.phase)
-        try:
-            out, algorithm = self._reduce_scatter(block, axis, group_t)
-        finally:
-            if prof is not None:
-                prof.end()
-        self._record("reduce_scatter", algorithm, len(group_t), before)
-        self._guard_numerics("reduce_scatter", out)
-        return out
 
     def allgather(
         self,
@@ -910,22 +907,11 @@ class ProcessComm:
         group: Sequence[int] | None = None,
     ) -> np.ndarray:
         """Concatenate group members' blocks along ``axis``."""
-        group_t = self._group(group)
-        self._begin_collective("allgather", len(group_t))
         block = np.asarray(block)
-        self._verify_collective("allgather", group_t, axis=axis, block=block)
-        before = self._t.counters()
-        prof = self.profiler
-        if prof is not None:
-            prof.begin("allgather", "collective", self.phase)
-        try:
-            out, algorithm = self._allgather(block, axis, group_t)
-        finally:
-            if prof is not None:
-                prof.end()
-        self._record("allgather", algorithm, len(group_t), before)
-        self._guard_numerics("allgather", out)
-        return out
+        return self._collective(
+            "allgather", group, lambda g: self._allgather(block, axis, g),
+            axis=axis, block=block,
+        )
 
     def bcast(
         self,
@@ -934,21 +920,11 @@ class ProcessComm:
         group: Sequence[int] | None = None,
     ) -> np.ndarray:
         """Broadcast ``root``'s block to the group (binomial tree)."""
-        group_t = self._group(group)
-        self._begin_collective("bcast", len(group_t))
-        self._verify_collective("bcast", group_t, root=root, block=block)
-        before = self._t.counters()
-        prof = self.profiler
-        if prof is not None:
-            prof.begin("bcast", "collective", self.phase)
-        try:
-            out = self._bcast(block, root, group_t)
-        finally:
-            if prof is not None:
-                prof.end()
-        self._record("bcast", "binomial", len(group_t), before)
-        self._guard_numerics("bcast", out)
-        return out
+        return self._collective(
+            "bcast", group,
+            lambda g: (self._bcast(block, root, g), "binomial"),
+            root=root, block=block,
+        )
 
     def gather(
         self,
@@ -957,39 +933,20 @@ class ProcessComm:
         group: Sequence[int] | None = None,
     ) -> list[np.ndarray] | None:
         """Collect blocks at ``root`` (group order); others get None."""
-        group_t = self._group(group)
-        self._begin_collective("gather", len(group_t))
         block = np.asarray(block)
-        self._verify_collective("gather", group_t, root=root, block=block)
-        before = self._t.counters()
-        prof = self.profiler
-        if prof is not None:
-            prof.begin("gather", "collective", self.phase)
-        try:
-            out = self._gather(block, root, group_t)
-        finally:
-            if prof is not None:
-                prof.end()
-        self._record("gather", "binomial", len(group_t), before)
-        self._guard_numerics("gather", out)
-        return out
+        return self._collective(
+            "gather", group,
+            lambda g: (self._gather(block, root, g), "binomial"),
+            root=root, block=block,
+        )
 
     def barrier(self, group: Sequence[int] | None = None) -> None:
         """Block until every group member reaches the barrier
         (dissemination algorithm, ``ceil(log2 p)`` rounds)."""
-        group_t = self._group(group)
-        self._begin_collective("barrier", len(group_t))
-        self._verify_collective("barrier", group_t)
-        before = self._t.counters()
-        prof = self.profiler
-        if prof is not None:
-            prof.begin("barrier", "collective", self.phase)
-        try:
-            self._barrier(group_t)
-        finally:
-            if prof is not None:
-                prof.end()
-        self._record("barrier", "dissemination", len(group_t), before)
+        self._collective(
+            "barrier", group,
+            lambda g: (self._barrier(g), "dissemination"),
+        )
 
     # -- algorithm building blocks -----------------------------------------
 
@@ -1466,274 +1423,27 @@ class ProcessComm:
             r += 1
 
 
-# ---------------------------------------------------------------------------
-# legacy star transport (coordinator process)
-# ---------------------------------------------------------------------------
-
-
-def _star_payload_size(obj: object) -> tuple[int, int]:
-    """(words, bytes) of the arrays inside a star request/reply."""
-    if isinstance(obj, np.ndarray):
-        return obj.size, obj.nbytes
-    if isinstance(obj, tuple) and obj and isinstance(obj[0], np.ndarray):
-        return obj[0].size, obj[0].nbytes
-    if isinstance(obj, (list, dict)):
-        vals = obj.values() if isinstance(obj, dict) else obj
-        arrays = [v for v in vals if isinstance(v, np.ndarray)]
-        return sum(a.size for a in arrays), sum(a.nbytes for a in arrays)
-    return 0, 0
-
-
-@dataclass
-class _Request:
-    op: str
-    op_id: int
-    group: tuple[int, ...]
-    rank: int
-    payload: object
-    root: int | None = None
-
-
-class StarComm:
-    """Legacy communicator: every collective through a coordinator.
-
-    Correct but star-shaped (the coordinator serializes and pickles
-    every block twice per collective); kept as the conformance
-    reference and the benchmark baseline for the peer-to-peer
-    transport.  Interface-compatible with :class:`ProcessComm` for the
-    collective subset (no point-to-point ``send``/``recv``).
-    """
-
-    transport = "star"
-
-    def __init__(
-        self,
-        rank: int,
-        size: int,
-        to_coord: "mp.Queue",
-        from_coord: "mp.Queue",
-        config: CommConfig | None = None,
-    ) -> None:
-        self.rank = rank
-        self.size = size
-        self._to_coord = to_coord
-        self._from_coord = from_coord
-        self.config = config or CommConfig()
-        if self.config.verify:
-            raise ValueError(
-                "verify mode requires the p2p transport (StarComm routes "
-                "every collective through the coordinator, which already "
-                "serializes matching)"
-            )
-        if self.config.profile:
-            raise ValueError(
-                "profile mode requires the p2p transport (the star "
-                "coordinator serializes every collective, so its timings "
-                "measure the coordinator, not the algorithm)"
-            )
-        self.trace = CommTrace()
-        #: caller-set phase label (interface parity with ProcessComm).
-        self.phase = ""
-        #: interface parity with ProcessComm (always None here: the
-        #: flight recorder and telemetry ride the p2p transports).
-        self.profiler = None
-        self.flight = None
-        self._op_id = 0
-        plan = self.config.fault_plan
-        self._inj: FaultInjector | None = (
-            FaultInjector(plan, rank)
-            if plan is not None and plan.for_rank(rank)
-            else None
-        )
-
-    def _exchange(
-        self,
-        op: str,
-        payload: object,
-        group: Sequence[int] | None = None,
-        root: int | None = None,
-    ) -> object:
-        group_t = (
-            tuple(range(self.size)) if group is None else tuple(group)
-        )
-        if self.rank not in group_t:
-            raise ValueError(
-                f"rank {self.rank} not in collective group {group_t}"
-            )
-        self._op_id += 1
-        dropped = False
-        if self._inj is not None:
-            self._inj.at_collective(self._op_id, self.phase)
-            payload, dropped = self._inj.on_send(payload)
-        if not dropped:
-            self._to_coord.put(
-                _Request(
-                    op=op,
-                    op_id=self._op_id,
-                    group=group_t,
-                    rank=self.rank,
-                    payload=payload,
-                    root=root,
-                )
-            )
-        wait = self.config.collective_timeout
-        retries = self.config.transient_retries
-        while True:
-            try:
-                result = self._from_coord.get(timeout=wait)
-                break
-            except queue_mod.Empty:
-                if retries > 0:
-                    retries -= 1
-                    wait *= self.config.retry_backoff
-                    continue
-                raise CollectiveTimeoutError(
-                    f"rank {self.rank}: coordinator did not answer {op!r} "
-                    f"within {wait:.1f}s — "
-                    f"collective call sequences have diverged across ranks"
-                ) from None
-        sent_words, sent_bytes = _star_payload_size(payload)
-        recv_words, recv_bytes = _star_payload_size(result)
-        self.trace.add(
-            CollectiveRecord(
-                op=op,
-                algorithm="star",
-                group_size=len(group_t),
-                sent_messages=1,
-                sent_words=sent_words,
-                sent_bytes=sent_bytes,
-                recv_messages=1,
-                recv_words=recv_words,
-                recv_bytes=recv_bytes,
-                shm_messages=0,
-                phase=self.phase,
-            )
-        )
-        self._guard_numerics(op, result)
-        return result
-
-    # Same screen as the p2p communicator (reads only config/rank/
-    # _op_id/phase, all of which StarComm shares).
-    _guard_numerics = ProcessComm._guard_numerics
-
-    def allreduce(
-        self, block: np.ndarray, group: Sequence[int] | None = None
-    ) -> np.ndarray:
-        """Sum over the group; every member receives the total."""
-        return self._exchange("allreduce", block, group)
-
-    def reduce_scatter(
-        self,
-        block: np.ndarray,
-        axis: int = 0,
-        group: Sequence[int] | None = None,
-    ) -> np.ndarray:
-        """Sum over the group, then scatter slabs along ``axis``."""
-        return self._exchange("reduce_scatter", (block, axis), group)
-
-    def allgather(
-        self,
-        block: np.ndarray,
-        axis: int = 0,
-        group: Sequence[int] | None = None,
-    ) -> np.ndarray:
-        """Concatenate group members' blocks along ``axis``."""
-        return self._exchange("allgather", (block, axis), group)
-
-    def bcast(
-        self,
-        block: np.ndarray | None,
-        root: int,
-        group: Sequence[int] | None = None,
-    ) -> np.ndarray:
-        """Broadcast ``root``'s block to the group."""
-        return self._exchange("bcast", block, group, root=root)
-
-    def gather(
-        self,
-        block: np.ndarray,
-        root: int,
-        group: Sequence[int] | None = None,
-    ) -> list[np.ndarray] | None:
-        """Collect blocks at ``root`` (group order); others get None."""
-        return self._exchange("gather", block, group, root=root)
-
-    def barrier(self, group: Sequence[int] | None = None) -> None:
-        """Block until every group member reaches the barrier."""
-        self._exchange("barrier", None, group)
-
-
-def _coordinator(
-    size: int,
-    to_coord: "mp.Queue",
-    reply_queues: list["mp.Queue"],
-) -> None:
-    """Collect per-collective contributions, combine, reply."""
-    pending: dict[tuple, dict[int, _Request]] = {}
-    done = 0
-    while done < size:
-        msg = to_coord.get()
-        if msg == _SENTINEL:
-            done += 1
-            continue
-        key = (msg.op, msg.op_id, msg.group)
-        bucket = pending.setdefault(key, {})
-        bucket[msg.rank] = msg
-        if len(bucket) < len(msg.group):
-            continue
-        # Complete: combine and reply in group order.
-        del pending[key]
-        group = msg.group
-        reqs = [bucket[r] for r in group]
-        op = msg.op
-        if op == "allreduce":
-            total = reqs[0].payload.copy()
-            for r in reqs[1:]:
-                total += r.payload
-            results = [total] * len(group)
-        elif op == "reduce_scatter":
-            axis = reqs[0].payload[1]
-            total = reqs[0].payload[0].copy()
-            for r in reqs[1:]:
-                total += r.payload[0]
-            results = [
-                np.ascontiguousarray(s)
-                for s in np.array_split(total, len(group), axis=axis)
-            ]
-        elif op == "allgather":
-            axis = reqs[0].payload[1]
-            cat = np.concatenate([r.payload[0] for r in reqs], axis=axis)
-            results = [cat] * len(group)
-        elif op == "bcast":
-            root_req = next(r for r in reqs if r.rank == r.root)
-            results = [root_req.payload] * len(group)
-        elif op == "gather":
-            blocks = [r.payload for r in reqs]
-            results = [
-                blocks if rank == msg.root else None for rank in group
-            ]
-        elif op == "barrier":
-            results = [None] * len(group)
-        else:  # pragma: no cover - defensive
-            results = [RuntimeError(f"unknown op {op}")] * len(group)
-        for rank, result in zip(group, results):
-            reply_queues[rank].put(result)
 
 
 # ---------------------------------------------------------------------------
-# SPMD launcher
+# the rank runtime: one body for forked, hosted, and launched ranks
 # ---------------------------------------------------------------------------
 
+#: Where a rank posts its ``(status, payload)`` reports: the result
+#: queue for forked and hosted ranks, a rendezvous frame for launched
+#: ones (:mod:`repro.distributed.launch`).
+_Post = Callable[[str, object], None]
 
-def _flight_snapshot(comm) -> object | None:
+
+def _flight_snapshot(comm: ProcessComm) -> object | None:
     """Snapshot a comm's flight ring (None when disarmed), stamped
     with the rank's final vector clock when the race sanitizer is on
     so postmortem merging can order last-known states causally."""
-    fr = getattr(comm, "flight", None)
+    fr = comm.flight
     if fr is None:
         return None
     clock = None
-    det = getattr(comm, "_race", None)
+    det = comm._race
     if det is not None:
         try:
             clock = det.fork_point().clocks
@@ -1742,7 +1452,7 @@ def _flight_snapshot(comm) -> object | None:
     return fr.snapshot(clock)
 
 
-def _failure_report(exc: BaseException, comm) -> dict:
+def _failure_report(exc: BaseException, comm: ProcessComm) -> dict:
     """What a dying rank ships home: error, traceback, trace tail,
     flight-recorder ring — and, when profiling, the partial profile
     whose ``open_span`` names what the rank was doing (phase +
@@ -1759,7 +1469,7 @@ def _failure_report(exc: BaseException, comm) -> dict:
             exc, (TransportClosedError, WorldRevokedError)
         ),
     }
-    fr = getattr(comm, "flight", None)
+    fr = comm.flight
     if fr is not None:
         fr.record("error", comm._op_id, comm.phase, repr(exc)[:200])
         report["flight"] = _flight_snapshot(comm)
@@ -1770,65 +1480,40 @@ def _failure_report(exc: BaseException, comm) -> dict:
     return report
 
 
-def _star_worker(
-    fn_bytes: bytes,
-    rank: int,
-    size: int,
-    to_coord: "mp.Queue",
-    from_coord: "mp.Queue",
-    result_queue: "mp.Queue",
-    config: CommConfig,
-    args: tuple,
-) -> None:
-    comm = StarComm(rank, size, to_coord, from_coord, config)
-    try:
-        fn = pickle.loads(fn_bytes)
-        out = fn(comm, *args)
-        result_queue.put((rank, "ok", out))
-    except InjectedRankCrash as exc:
-        result_queue.put((rank, "crashed", _failure_report(exc, comm)))
-        if exc.hard:
-            # Simulated node loss: give the queue feeder a moment to
-            # flush the crash report, then die without cleanup — no
-            # coordinator sentinel, exactly like a killed node.
-            time.sleep(0.2)
-            os._exit(EXIT_INJECTED_CRASH)
-    except Exception as exc:
-        result_queue.put((rank, "error", _failure_report(exc, comm)))
-    finally:
-        to_coord.put(_SENTINEL)
-
-
 def _rank_body(
     fn_bytes: bytes,
     rank: int,
     size: int,
-    inboxes: list["mp.Queue"] | None,
-    result_queue: "mp.Queue",
-    run_token: str,
+    post: _Post,
     config: CommConfig,
     args: tuple,
+    *,
+    backend: str = "p2p",
+    inboxes: list["mp.Queue"] | None = None,
+    run_token: str = "",
     board: object | None = None,
     ctrl_conns: dict[int, object] | None = None,
-    backend: str = "p2p",
     rendezvous: tuple[str, int] | None = None,
 ) -> None:
-    """One logical rank's lifetime: transport, comm, program, report."""
+    """One logical rank's lifetime: transport, comm, program, report.
+
+    Every report goes through ``post``, in the order the launcher's
+    collector expects: ``profile`` (profiling only) and ``flight``
+    ahead of ``ok``; ``error``/``crashed``/``recovery`` as the terminal
+    report of a failed rank; ``telemetry`` heartbeats at any time.
+    """
     channel: Transport
     if backend == "tcp":
         try:
             channel = TcpSocketTransport(rank, size, config, rendezvous)
         except Exception as exc:  # mesh setup failed: report, don't hang
-            result_queue.put(
-                (
-                    rank,
-                    "error",
-                    {
-                        "error": repr(exc),
-                        "traceback": traceback_mod.format_exc(),
-                        "trace_tail": [],
-                    },
-                )
+            post(
+                "error",
+                {
+                    "error": repr(exc),
+                    "traceback": traceback_mod.format_exc(),
+                    "trace_tail": [],
+                },
             )
             return
     else:
@@ -1841,9 +1526,7 @@ def _rank_body(
 
         pusher = TelemetryPusher(
             comm.telemetry_sample,
-            lambda sample, _r=rank: result_queue.put(
-                (_r, "telemetry", sample)
-            ),
+            lambda sample: post("telemetry", sample),
             config.telemetry_interval,
         )
         pusher.start()
@@ -1855,22 +1538,21 @@ def _rank_body(
         comm.verify_shutdown()
         if comm.profiler is not None:
             comm.profiler.finalize_transport(channel)
-            result_queue.put(
-                (rank, "profile", comm.profiler.rank_profile())
-            )
+            post("profile", comm.profiler.rank_profile())
         # Ship the flight ring before the completion signal so an
         # early finisher's ring is available for a postmortem even
         # when *other* ranks later hang or die.
         ring = _flight_snapshot(comm)
         if ring is not None:
-            result_queue.put((rank, "flight", ring))
-        result_queue.put((rank, "ok", out))
+            post("flight", ring)
+        post("ok", out)
     except InjectedRankCrash as exc:
-        result_queue.put((rank, "crashed", _failure_report(exc, comm)))
+        post("crashed", _failure_report(exc, comm))
         if exc.hard:
-            # Simulated node loss: skip channel.close() so any pooled
-            # shm segments are orphaned — the launcher's sweep must
-            # reclaim them.
+            # Simulated node loss: give a queue feeder a moment to
+            # flush the crash report, then die without cleanup — no
+            # channel.close(), so pooled shm segments are orphaned and
+            # the launcher's sweep must reclaim them.
             time.sleep(0.2)
             os._exit(EXIT_INJECTED_CRASH)
     except (WorldRevokedError, TransportClosedError) as exc:
@@ -1881,17 +1563,14 @@ def _rank_body(
         # from these reports.
         mgr = comm.recovery_mgr
         if mgr is None:
-            result_queue.put((rank, "error", _failure_report(exc, comm)))
+            post("error", _failure_report(exc, comm))
         else:
             try:
-                report = mgr.on_failure(exc)
-                result_queue.put((rank, "recovery", report))
+                post("recovery", mgr.on_failure(exc))
             except Exception as exc2:  # pragma: no cover - agree broke
-                result_queue.put(
-                    (rank, "error", _failure_report(exc2, comm))
-                )
+                post("error", _failure_report(exc2, comm))
     except Exception as exc:
-        result_queue.put((rank, "error", _failure_report(exc, comm)))
+        post("error", _failure_report(exc, comm))
     finally:
         if pusher is not None:
             pusher.stop()
@@ -1902,19 +1581,18 @@ def _rank_body(
             pass
 
 
+def _queue_post(result_queue: "mp.Queue", rank: int) -> _Post:
+    return lambda status, payload: result_queue.put((rank, status, payload))
+
+
 def _p2p_worker(
     fn_bytes: bytes,
     ranks: Sequence[int],
     size: int,
-    inboxes: list["mp.Queue"] | None,
     result_queue: "mp.Queue",
-    run_token: str,
     config: CommConfig,
     args: tuple,
-    board: object | None = None,
-    ctrl_conns: dict[int, object] | None = None,
-    backend: str = "p2p",
-    rendezvous: tuple[str, int] | None = None,
+    wire: dict[str, Any],
 ) -> None:
     """One OS process hosting one or more logical ranks.
 
@@ -1924,22 +1602,24 @@ def _p2p_worker(
     hosted rank gets its own transport endpoint (its own inbox queue /
     its own socket mesh) and its own :class:`ProcessComm`, so the
     logical world size, and with it every collective schedule and
-    reduction order, is exactly that of the original run.
+    reduction order, is exactly that of the original run.  ``wire``
+    holds the transport keywords of :func:`_rank_body`.
     """
     ranks = list(ranks)
     if len(ranks) == 1:
         _rank_body(
-            fn_bytes, ranks[0], size, inboxes, result_queue, run_token,
-            config, args, board, ctrl_conns, backend, rendezvous,
+            fn_bytes, ranks[0], size, _queue_post(result_queue, ranks[0]),
+            config, args, **wire,
         )
         return
     threads = [
         threading.Thread(
             target=_rank_body,
             args=(
-                fn_bytes, r, size, inboxes, result_queue, run_token,
-                config, args, board, ctrl_conns, backend, rendezvous,
+                fn_bytes, r, size, _queue_post(result_queue, r), config,
+                args,
             ),
+            kwargs=wire,
             name=f"hosted-rank-{r}",
         )
         for r in ranks
@@ -1948,6 +1628,295 @@ def _p2p_worker(
         t.start()
     for t in threads:
         t.join()
+
+
+# ---------------------------------------------------------------------------
+# report collection and the failure verdict (shared by both launchers)
+# ---------------------------------------------------------------------------
+
+
+class _ReportCollector:
+    """Gathers one run's ``(rank, status, payload)`` reports and turns
+    them into the results list or one :class:`RankFailureError`.
+
+    Fed by :func:`run_spmd` (result queue, process exit codes) and by
+    :func:`repro.distributed.launch.launch_spmd` (rendezvous frames,
+    subprocess exit codes) alike, so a failure gets the same failed /
+    aborted split, postmortem, and message whichever launcher ran it.
+    """
+
+    def __init__(
+        self, size: int, config: CommConfig, monitor: object | None = None
+    ) -> None:
+        self.size = size
+        self.monitor = monitor
+        self.elastic = config.recovery in ELASTIC_POLICIES
+        # Elastic survivors must finish the revoke-and-agree round and
+        # serialize their replica reports before the abort: extend the
+        # drain window by the worst-case agreement cost (two rounds, up
+        # to agree_timeout per unreachable peer).
+        self.grace = _ABORT_GRACE + (
+            2.0 * config.agree_timeout * size if self.elastic else 0.0
+        )
+        self.results: dict[int, object] = {}
+        self.errors: dict[int, dict] = {}
+        self.recoveries: dict[int, dict] = {}  # rank -> recovery report
+        self.profiles: dict[int, object] = {}  # rank -> RankProfile
+        self.flights: dict[int, object] = {}  # rank -> FlightRing
+        self.hard_crashed: set[int] = set()  # ranks whose process is dying
+        self.dead: dict[int, int] = {}  # rank -> exitcode, no report
+        self.timed_out = False
+
+    @property
+    def failed(self) -> bool:
+        return len(self.results) < self.size
+
+    def _reported(self) -> int:
+        return len(self.results) + len(self.errors) + len(self.recoveries)
+
+    def feed(self, rank: int, status: str, payload: object) -> bool:
+        """Record one report; ``True`` when it is the rank's last."""
+        mon = self.monitor
+        if status == "profile":
+            self.profiles[rank] = payload
+            return False
+        if status == "flight":
+            self.flights[rank] = payload
+            return False
+        if status == "telemetry":
+            # Out-of-band heartbeat; never a completion signal.
+            if mon is not None:
+                mon.on_sample(rank, payload)
+            return False
+        if status == "ok":
+            self.results[rank] = payload
+        elif status == "recovery":
+            # A survivor finished its agreement round and
+            # self-extracted with its replica: terminal for the rank,
+            # but the run as a whole has failed.
+            self.recoveries[rank] = payload
+        else:  # "error" or "crashed"
+            self.errors[rank] = payload
+            if status == "crashed":
+                # The rank's process is about to os._exit (or already
+                # has): treat like an observed death so blocked shm
+                # survivors are woken for their rings.
+                self.hard_crashed.add(rank)
+        if mon is not None:
+            mon.on_done(rank, status)
+        self.dead.pop(rank, None)
+        return True
+
+    def drain(
+        self,
+        recv: Callable[[float], tuple | None],
+        exitcode: Callable[[int], int | None],
+        timeout: float,
+        revoke: Callable[[list[int], list[int]], None] | None = None,
+    ) -> None:
+        """Feed reports until every rank has posted its last, the run
+        times out, or the grace window after a failure runs out.
+
+        ``recv(wait)`` returns the next ``(rank, status, payload)`` or
+        ``None`` after ``wait`` idle seconds; ``exitcode(rank)`` is
+        ``None`` while the rank's process lives.  Idle polls check
+        liveness, so a rank that dies without posting a report aborts
+        the run within poll + grace, not ``timeout``.  ``revoke(
+        suspects, survivors)`` (the shm wire, which has no in-band
+        death signal) is called once when a death is observed.
+        """
+        deadline = time.monotonic() + timeout
+        abort_deadline: float | None = None
+        while self._reported() < self.size:
+            now = time.monotonic()
+            if now >= deadline:
+                self.timed_out = True
+                return
+            if abort_deadline is not None and now >= abort_deadline:
+                return
+            msg = recv(min(_LIVENESS_POLL, deadline - now))
+            if msg is not None:
+                if self.feed(*msg) and msg[1] != "ok" and (
+                    abort_deadline is None
+                ):
+                    abort_deadline = time.monotonic() + self.grace
+                continue
+            open_ranks = [
+                r for r in range(self.size)
+                if r not in self.results and r not in self.errors
+                and r not in self.recoveries
+            ]
+            self.dead = {}
+            for r in open_ranks:
+                code = exitcode(r)
+                if code is not None:
+                    self.dead[r] = code
+            if (self.dead or self.errors) and abort_deadline is None:
+                # Brief drain window before aborting: in-flight
+                # reports (a clean exit racing the poll, peers blocked
+                # on the failed rank posting their own failures) are
+                # still collected.
+                abort_deadline = time.monotonic() + self.grace
+            elif not (self.dead or self.errors or self.recoveries):
+                abort_deadline = None
+            if revoke is not None and (
+                self.dead or self.hard_crashed
+                or (self.elastic and self.errors)
+            ):
+                # Elastic runs revoke on any failure (survivors must
+                # run the agreement round); non-elastic runs revoke on
+                # process death only, so the woken survivors post
+                # their flight rings (as demoted-secondary errors)
+                # instead of being terminated ringless — ordinary
+                # raised exceptions wait out their collective timeout.
+                revoke(
+                    sorted(set(self.dead) | set(self.errors)),
+                    [r for r in open_ranks if r not in self.dead],
+                )
+                revoke = None
+
+    def finish(
+        self, timeout: float, profile_out: dict[int, object] | None = None
+    ) -> list[object]:
+        """The results in rank order, or raise the run's failure."""
+        if not self.failed:
+            if profile_out is not None:
+                profile_out.update(self.profiles)
+            return [self.results[r] for r in range(self.size)]
+        errors, recoveries = self.errors, self.recoveries
+        profiles, flights, dead = self.profiles, self.flights, self.dead
+        # tcp detects a vanished peer in-band (TransportClosedError),
+        # so the victim's neighbours self-report before the launcher's
+        # liveness poll fires.  On the shm wire those ranks block and
+        # end up terminated-without-a-report — the aborted set.  Fold
+        # the self-reported casualties into the same set whenever a
+        # primary failure explains them, so both wires classify one
+        # crash identically.
+        secondary = [r for r, rep in errors.items() if rep.get("secondary")]
+        if (set(errors) - set(secondary)) | set(dead) | set(recoveries):
+            for r in secondary:
+                rep = errors.pop(r)
+                if rep.get("profile") is not None:
+                    profiles[r] = rep["profile"]
+                if rep.get("flight") is not None:
+                    flights[r] = rep["flight"]
+        failed = sorted(set(errors) | set(dead))
+        succeeded = sorted(self.results)
+        aborted = sorted(
+            r
+            for r in range(self.size)
+            if r not in self.results
+            and r not in errors
+            and r not in dead
+            and r not in recoveries
+        )
+        # Failed ranks embed their partial profile and flight ring in
+        # the failure report, finished ranks shipped theirs ahead of
+        # their result: fold them into one set each so the error
+        # carries everything that reached the launcher.
+        for r, body in [*errors.items(), *recoveries.items()]:
+            if body.get("profile") is not None:
+                profiles[r] = body["profile"]
+            if body.get("flight") is not None:
+                flights[r] = body["flight"]
+        if profile_out is not None:
+            profile_out.update(profiles)
+        postmortem = None
+        if flights:
+            from repro.observability.telemetry import build_postmortem
+
+            postmortem = build_postmortem(
+                flights,
+                completed=set(self.results),
+                crashed=self.hard_crashed | set(dead),
+            )
+            if self.monitor is not None:
+                self.monitor.on_postmortem(
+                    postmortem.verdict, postmortem.diverging
+                )
+        lines = []
+        for r in failed:
+            if r not in errors:
+                lines.append(
+                    f"rank {r} died without posting a result "
+                    f"(exitcode {dead[r]})"
+                )
+                continue
+            rep = errors[r]
+            lines.append(f"rank {r} failed: {rep['error']}")
+            prof = rep.get("profile")
+            open_span = prof.open_span if prof is not None else None
+            if open_span is not None:
+                lines.append(
+                    f"rank {r} last open span: "
+                    f"'{open_span['name']}' "
+                    f"({open_span['category']}"
+                    + (
+                        f", phase {open_span['phase']}"
+                        if open_span["phase"]
+                        else ""
+                    )
+                    + f") started t+{open_span['start']:.3f}s "
+                    f"(unix {open_span['wall_start']:.3f}), open "
+                    f"{open_span['open_for']:.3f}s at failure"
+                )
+            tail = rep.get("trace_tail") or []
+            if tail:
+                lines.append(f"rank {r} last collectives:")
+                lines.extend(f"  {t}" for t in tail)
+            ring = flights.get(r)
+            if ring is not None and getattr(ring, "events", None):
+                ftail = ring.tail()
+                lines.append(
+                    f"rank {r} flight recorder "
+                    f"(last {len(ftail)} of {ring.seq} events):"
+                )
+                lines.extend(f"  {t}" for t in ftail)
+            tb = rep.get("traceback", "")
+            if tb:
+                lines.append(f"rank {r} remote traceback:")
+                lines.extend(f"  {t}" for t in tb.rstrip().splitlines())
+        for r in sorted(recoveries):
+            rep = recoveries[r]
+            lines.append(
+                f"rank {r} survived and entered recovery "
+                f"(agreed failed set {sorted(rep.get('failed', ()))}, "
+                f"replica at iteration {rep.get('iteration')})"
+            )
+        if postmortem is not None:
+            lines.extend(postmortem.lines())
+        if self.timed_out and not failed:
+            head = (
+                f"SPMD run timed out after {timeout:.0f}s waiting for "
+                f"{self.size - len(self.results)} of {self.size} ranks"
+            )
+        else:
+            head = (
+                f"SPMD run failed: ranks {failed} failed, "
+                f"{succeeded} succeeded"
+                + (f", {aborted} aborted" if aborted else "")
+                + (
+                    f", {sorted(recoveries)} recovered state"
+                    if recoveries
+                    else ""
+                )
+            )
+        raise RankFailureError(
+            "\n".join([head] + lines),
+            failed=failed,
+            succeeded=succeeded,
+            aborted=aborted,
+            exitcodes=dead,
+            profiles=profiles,
+            recovery_reports=recoveries,
+            flight_records=flights,
+            postmortem=postmortem,
+        )
+
+
+# ---------------------------------------------------------------------------
+# the fork launcher
+# ---------------------------------------------------------------------------
 
 
 def _serve_rendezvous_quietly(
@@ -2000,8 +1969,9 @@ def run_spmd(
     that dies without posting a result (a hard crash, an ``os._exit``,
     a kill) aborts the job within poll + ``_ABORT_GRACE`` + teardown —
     a few seconds.  Shared-memory segments are swept on every exit
-    path, and the star coordinator is drained (stand-in sentinels for
-    ranks that never posted theirs) so it cannot linger.
+    path.  Reports are collected and judged by the same collector as
+    :func:`repro.distributed.launch.launch_spmd`, so a failure gets
+    the same verdict whether its ranks were forked or launched.
 
     Parameters
     ----------
@@ -2010,8 +1980,7 @@ def run_spmd(
         :class:`ProcessComm` over the pooled shared-memory
         point-to-point layer; ``"tcp"`` hands out the same
         communicator over per-peer TCP connections meshed through a
-        loopback rendezvous; ``"star"`` hands out the legacy
-        coordinator-routed :class:`StarComm`.
+        loopback rendezvous.
     config:
         :class:`CommConfig` for timeouts, the shared-memory threshold,
         algorithm determinism, the short/long allreduce threshold,
@@ -2031,7 +2000,6 @@ def run_spmd(
         (``CommConfig.telemetry_interval``, defaulted to 0.5 s when
         unset) whose heartbeats are routed to the monitor from the
         launcher's drain loop — the live feed behind ``repro top``.
-        Requires a peer-to-peer transport.
     host_map:
         Optional partition of ``range(size)`` into per-process groups:
         entry ``p`` lists the logical ranks process ``p`` hosts (extra
@@ -2048,23 +2016,6 @@ def run_spmd(
     cfg = config or CommConfig()
     if collective_timeout is not None:
         cfg = replace(cfg, collective_timeout=collective_timeout)
-    if cfg.verify and transport == "star":
-        raise ValueError(
-            "verify mode requires a peer-to-peer transport (p2p/shm or tcp)"
-        )
-    if cfg.profile and transport == "star":
-        raise ValueError(
-            "profile mode requires a peer-to-peer transport (p2p/shm or tcp)"
-        )
-    if cfg.race_detect and transport == "star":
-        raise ValueError(
-            "race_detect requires a peer-to-peer transport (p2p/shm or tcp)"
-        )
-    if monitor is not None and transport == "star":
-        raise ValueError(
-            "telemetry monitoring requires a peer-to-peer transport "
-            "(p2p/shm or tcp)"
-        )
     if monitor is not None and cfg.telemetry_interval <= 0:
         cfg = replace(cfg, telemetry_interval=0.5)
     if monitor is not None:
@@ -2075,10 +2026,6 @@ def run_spmd(
             f"(expected 'restart', 'respawn', or 'shrink')"
         )
     if host_map is not None:
-        if transport == "star":
-            raise ValueError(
-                "host_map requires a peer-to-peer transport (p2p/shm or tcp)"
-            )
         if cfg.verify:
             raise ValueError(
                 "host_map is incompatible with verify mode (the ctrl-pipe "
@@ -2091,106 +2038,76 @@ def run_spmd(
                 f"got {[list(e) for e in host_map]!r}"
             )
         host_map = [list(entry) for entry in host_map]
+    else:
+        host_map = [[rank] for rank in range(size)]
     ctx = mp.get_context("spawn" if mp.get_start_method() == "spawn" else "fork")
     result_queue: mp.Queue = ctx.Queue()
     run_token = uuid.uuid4().hex[:8]
     fn_bytes = pickle.dumps(fn)
 
-    coord = None
-    ctrl_mesh = None
+    ctrl_mesh: list[dict[int, object]] | None = None
     rdv_listener = None
-    if transport == "star":
-        to_coord: mp.Queue = ctx.Queue()
-        reply_queues = [ctx.Queue() for _ in range(size)]
-        coord = ctx.Process(
-            target=_coordinator, args=(size, to_coord, reply_queues)
+    inboxes = (
+        [ctx.Queue() for _ in range(size)] if transport == "p2p" else None
+    )
+    # Verify mode: a lock-free shared board of (waiting_on, op_id,
+    # stamp) triples, one per rank, feeding the wait-for-graph
+    # deadlock detector.  Each rank writes only its own slots.
+    board = (
+        ctx.Array("q", 3 * size, lock=False)
+        if cfg.verify and size > 1
+        else None
+    )
+    if board is not None:
+        for r in range(size):
+            board[3 * r] = -1  # idle, not "waiting on rank 0"
+    # Verify mode, shm backend only: a dedicated duplex pipe per rank
+    # pair carries the control rounds — Connection.send is a
+    # synchronous write with no feeder thread, so the verifier's fixed
+    # latency stays small even with every rank contending for CPU.
+    # The tcp backend rides its control traffic on the ordinary frame
+    # stream instead (no extra descriptors).
+    if cfg.verify and size > 1 and transport == "p2p":
+        ctrl_mesh = [{} for _ in range(size)]
+        for i in range(size):
+            for j in range(i + 1, size):
+                end_i, end_j = ctx.Pipe(duplex=True)
+                ctrl_mesh[i][j] = end_i
+                ctrl_mesh[j][i] = end_j
+    # TCP backend: the launcher runs the one-shot rendezvous round
+    # (address exchange) on a loopback listener; ranks mesh up against
+    # it during transport construction.
+    rendezvous: tuple[str, int] | None = None
+    if transport == "tcp" and size > 1:
+        rdv_listener = open_rendezvous_listener("127.0.0.1")
+        rendezvous = rdv_listener.getsockname()[:2]
+        threading.Thread(
+            target=_serve_rendezvous_quietly,
+            args=(rdv_listener, size, cfg.tcp_connect_timeout),
+            daemon=True,
+        ).start()
+    workers = [
+        ctx.Process(
+            target=_p2p_worker,
+            args=(
+                fn_bytes, tuple(hosted), size, result_queue, cfg, args,
+                {
+                    "backend": transport,
+                    "inboxes": inboxes,
+                    "run_token": run_token,
+                    "board": board,
+                    "ctrl_conns": (
+                        ctrl_mesh[hosted[0]] if ctrl_mesh is not None
+                        else None
+                    ),
+                    "rendezvous": rendezvous,
+                },
+            ),
         )
-        coord.start()
-        workers = [
-            ctx.Process(
-                target=_star_worker,
-                args=(
-                    fn_bytes,
-                    rank,
-                    size,
-                    to_coord,
-                    reply_queues[rank],
-                    result_queue,
-                    cfg,
-                    args,
-                ),
-            )
-            for rank in range(size)
-        ]
-        proc_map = {rank: rank for rank in range(size)}
-    else:
-        inboxes = (
-            [ctx.Queue() for _ in range(size)]
-            if transport == "p2p"
-            else None
-        )
-        # Verify mode: a lock-free shared board of (waiting_on, op_id,
-        # stamp) triples, one per rank, feeding the wait-for-graph
-        # deadlock detector.  Each rank writes only its own slots.
-        board = (
-            ctx.Array("q", 3 * size, lock=False)
-            if cfg.verify and size > 1
-            else None
-        )
-        if board is not None:
-            for r in range(size):
-                board[3 * r] = -1  # idle, not "waiting on rank 0"
-        # Verify mode, shm backend only: a dedicated duplex pipe per
-        # rank pair carries the control rounds — Connection.send is a
-        # synchronous write with no feeder thread, so the verifier's
-        # fixed latency stays small even with every rank contending
-        # for CPU.  The tcp backend rides its control traffic on the
-        # ordinary frame stream instead (no extra descriptors).
-        if cfg.verify and size > 1 and transport == "p2p":
-            ctrl_mesh = [{} for _ in range(size)]
-            for i in range(size):
-                for j in range(i + 1, size):
-                    end_i, end_j = ctx.Pipe(duplex=True)
-                    ctrl_mesh[i][j] = end_i
-                    ctrl_mesh[j][i] = end_j
-        # TCP backend: the launcher runs the one-shot rendezvous round
-        # (address exchange) on a loopback listener; ranks mesh up
-        # against it during transport construction.
-        rendezvous: tuple[str, int] | None = None
-        if transport == "tcp" and size > 1:
-            rdv_listener = open_rendezvous_listener("127.0.0.1")
-            rendezvous = rdv_listener.getsockname()[:2]
-            rdv_thread = threading.Thread(
-                target=_serve_rendezvous_quietly,
-                args=(rdv_listener, size, cfg.tcp_connect_timeout),
-                daemon=True,
-            )
-            rdv_thread.start()
-        if host_map is None:
-            host_map = [[rank] for rank in range(size)]
-        workers = [
-            ctx.Process(
-                target=_p2p_worker,
-                args=(
-                    fn_bytes,
-                    tuple(hosted),
-                    size,
-                    inboxes,
-                    result_queue,
-                    run_token,
-                    cfg,
-                    args,
-                    board,
-                    ctrl_mesh[hosted[0]] if ctrl_mesh is not None else None,
-                    transport,
-                    rendezvous,
-                ),
-            )
-            for hosted in host_map
-        ]
-        proc_map = {
-            r: pi for pi, hosted in enumerate(host_map) for r in hosted
-        }
+        for hosted in host_map
+    ]
+    proc_of = {r: workers[pi] for pi, hosted in enumerate(host_map)
+               for r in hosted}
     for w in workers:
         w.start()
     if ctrl_mesh is not None:
@@ -2200,150 +2117,41 @@ def run_spmd(
             for conn in conns.values():
                 conn.close()
 
-    results: dict[int, object] = {}
-    errors: dict[int, dict] = {}
-    recoveries: dict[int, dict] = {}  # rank -> recovery report
-    profiles: dict[int, object] = {}  # rank -> RankProfile
-    flights: dict[int, object] = {}  # rank -> FlightRing
-    hard_crashed: set[int] = set()  # ranks whose process is dying
-    dead: dict[int, int] = {}  # rank -> exitcode, no result posted
-    timed_out = False
-    abort_deadline: float | None = None
-    elastic = cfg.recovery in ELASTIC_POLICIES
-    # Elastic survivors must finish the revoke-and-agree round and
-    # serialize their replica reports before the abort: extend the
-    # drain window by the worst-case agreement cost (two rounds, up to
-    # agree_timeout per unreachable peer).
-    abort_grace = _ABORT_GRACE + (
-        2.0 * cfg.agree_timeout * size if elastic else 0.0
-    )
-    revoke_sent = False
-    try:
-        deadline = time.monotonic() + timeout
-        while len(results) + len(errors) + len(recoveries) < size:
-            now = time.monotonic()
-            if now >= deadline:
-                timed_out = True
-                break
-            if abort_deadline is not None and now >= abort_deadline:
-                break
+    def recv(wait: float) -> tuple | None:
+        try:
+            return result_queue.get(timeout=wait)
+        except queue_mod.Empty:
+            return None
+
+    def revoke(suspects: list[int], survivors: list[int]) -> None:
+        # The shm wire has no in-band death signal: the launcher *is*
+        # the failure detector, and it wakes blocked survivors by
+        # posting a revoke notice straight into their inbox queues
+        # (src = -1, a launcher-origin sentinel).
+        for r in survivors:
             try:
-                rank, status, payload = result_queue.get(
-                    timeout=min(_LIVENESS_POLL, deadline - now)
-                )
-            except queue_mod.Empty:
-                # Liveness check: a rank that died without posting a
-                # result will never answer — don't wait out `timeout`.
-                dead = {
-                    r: workers[proc_map[r]].exitcode
-                    for r in range(size)
-                    if r not in results
-                    and r not in errors
-                    and r not in recoveries
-                    and workers[proc_map[r]].exitcode is not None
-                }
-                if (dead or errors) and abort_deadline is None:
-                    # Brief drain window before aborting: in-flight
-                    # results (a clean exit racing the poll, peers
-                    # blocked on the failed rank posting their own
-                    # failures) are still collected.
-                    abort_deadline = time.monotonic() + abort_grace
-                elif not dead and not errors and not recoveries:
-                    abort_deadline = None
-                if (
-                    not revoke_sent
-                    and transport == "p2p"
-                    and (dead or hard_crashed or (elastic and errors))
-                ):
-                    # The shm wire has no in-band death signal: the
-                    # launcher *is* the failure detector, and it wakes
-                    # blocked survivors by posting a revoke notice
-                    # straight into their inbox queues (src = -1, a
-                    # launcher-origin sentinel).  Elastic runs revoke
-                    # on any failure (survivors must run the agreement
-                    # round); non-elastic runs revoke on process death
-                    # only, so the woken survivors post their flight
-                    # rings (as demoted-secondary errors) instead of
-                    # being terminated ringless — ordinary raised
-                    # exceptions keep the PR-3 timeout semantics.
-                    suspects = sorted(set(dead) | set(errors))
-                    for r in range(size):
-                        if (
-                            r in results or r in errors
-                            or r in recoveries or r in dead
-                        ):
-                            continue
-                        try:
-                            inboxes[r].put((-1, _REVOKE_TAG, suspects))
-                        except Exception:  # pragma: no cover - torn queue
-                            pass
-                    revoke_sent = True
-                continue
-            if status == "profile":
-                # Precedes the rank's "ok"; not a completion signal.
-                profiles[rank] = payload
-                continue
-            if status == "flight":
-                # Precedes the rank's "ok"; not a completion signal.
-                flights[rank] = payload
-                continue
-            if status == "telemetry":
-                # Out-of-band heartbeat; never a completion signal.
-                if monitor is not None:
-                    monitor.on_sample(rank, payload)
-                continue
-            if status == "ok":
-                results[rank] = payload
-            elif status == "recovery":
-                # A survivor finished its agreement round and
-                # self-extracted with its replica: terminal for the
-                # rank, but the run as a whole has failed.
-                recoveries[rank] = payload
-                if abort_deadline is None:
-                    abort_deadline = time.monotonic() + abort_grace
-            else:  # "error" or "crashed"
-                errors[rank] = payload
-                if status == "crashed":
-                    # The rank's process is about to os._exit (or
-                    # already has): treat like an observed death so
-                    # blocked shm survivors are woken for their rings.
-                    hard_crashed.add(rank)
-                if abort_deadline is None:
-                    abort_deadline = time.monotonic() + abort_grace
-            if monitor is not None:
-                monitor.on_done(rank, status)
-            dead.pop(rank, None)
-    finally:
-        failure = (
-            bool(errors) or bool(dead) or bool(recoveries) or timed_out
+                inboxes[r].put((-1, _REVOKE_TAG, suspects))
+            except Exception:  # pragma: no cover - torn queue
+                pass
+
+    reports = _ReportCollector(size, cfg, monitor)
+    try:
+        reports.drain(
+            recv,
+            lambda r: proc_of[r].exitcode,
+            timeout,
+            revoke if transport == "p2p" else None,
         )
-        if failure:
+    finally:
+        if reports.failed:
             for w in workers:
                 if w.is_alive():
                     w.terminate()
-        if coord is not None and failure:
-            # Ranks that died before posting their _SENTINEL leave the
-            # coordinator waiting forever; post stand-ins so it can
-            # drain and exit instead of being terminated mid-reply.
-            # A rank that posted a *result* may still have skipped its
-            # sentinel (a hard crash os._exits between the two), so
-            # post a full set: every worker is already terminated, and
-            # the coordinator stops at `size`, ignoring extras.
-            for _ in range(size):
-                try:
-                    to_coord.put(_SENTINEL)
-                except Exception:  # pragma: no cover - queue torn down
-                    break
         for w in workers:
             w.join(timeout=10)
             if w.is_alive():  # pragma: no cover - hang safety
                 w.terminate()
                 w.join(timeout=10)
-        if coord is not None:
-            coord.join(timeout=10)
-            if coord.is_alive():  # pragma: no cover - hang safety
-                coord.terminate()
-                coord.join(timeout=10)
         if rdv_listener is not None:
             try:
                 rdv_listener.close()
@@ -2351,149 +2159,4 @@ def run_spmd(
                 pass
         if transport == "p2p":
             _sweep_shm(run_token)
-    if errors or dead or recoveries or timed_out:
-        # tcp detects a vanished peer in-band (TransportClosedError),
-        # so the victim's neighbours self-report before the launcher's
-        # liveness poll fires.  On the shm wire those ranks block and
-        # end up terminated-without-a-report — the aborted set.  Fold
-        # the self-reported casualties into the same set whenever a
-        # primary failure explains them, so both wires classify one
-        # crash identically.
-        secondary = [
-            r for r, rep in errors.items() if rep.get("secondary")
-        ]
-        if (set(errors) - set(secondary)) | set(dead) | set(recoveries):
-            for r in secondary:
-                rep = errors.pop(r)
-                if rep.get("profile") is not None:
-                    profiles[r] = rep["profile"]
-                if rep.get("flight") is not None:
-                    flights[r] = rep["flight"]
-        failed = sorted(set(errors) | set(dead))
-        succeeded = sorted(results)
-        aborted = sorted(
-            r
-            for r in range(size)
-            if r not in results
-            and r not in errors
-            and r not in dead
-            and r not in recoveries
-        )
-        # Failed ranks embed their partial profile in the failure
-        # report; fold them into the gathered set so the error carries
-        # every profile that reached the launcher.
-        for r, rep in errors.items():
-            if rep.get("profile") is not None:
-                profiles[r] = rep["profile"]
-        for r, rep in recoveries.items():
-            if rep.get("profile") is not None:
-                profiles[r] = rep["profile"]
-        if profile_out is not None:
-            profile_out.update(profiles)
-        # Same folding for flight rings: failed ranks embed theirs in
-        # the failure/recovery report, finished ranks shipped theirs
-        # ahead of their result.
-        for r, rep in errors.items():
-            if rep.get("flight") is not None:
-                flights[r] = rep["flight"]
-        for r, rep in recoveries.items():
-            if rep.get("flight") is not None:
-                flights[r] = rep["flight"]
-        postmortem = None
-        if flights:
-            from repro.observability.telemetry import build_postmortem
-
-            postmortem = build_postmortem(
-                flights,
-                completed=set(results),
-                crashed=set(hard_crashed) | set(dead),
-            )
-            if monitor is not None:
-                monitor.on_postmortem(
-                    postmortem.verdict, postmortem.diverging
-                )
-        lines = []
-        for r in failed:
-            if r in errors:
-                rep = errors[r]
-                lines.append(f"rank {r} failed: {rep['error']}")
-                prof = rep.get("profile")
-                open_span = (
-                    prof.open_span if prof is not None else None
-                )
-                if open_span is not None:
-                    lines.append(
-                        f"rank {r} last open span: "
-                        f"'{open_span['name']}' "
-                        f"({open_span['category']}"
-                        + (
-                            f", phase {open_span['phase']}"
-                            if open_span["phase"]
-                            else ""
-                        )
-                        + f") started t+{open_span['start']:.3f}s "
-                        f"(unix {open_span['wall_start']:.3f}), open "
-                        f"{open_span['open_for']:.3f}s at failure"
-                    )
-                tail = rep.get("trace_tail") or []
-                if tail:
-                    lines.append(f"rank {r} last collectives:")
-                    lines.extend(f"  {t}" for t in tail)
-                ring = flights.get(r)
-                if ring is not None and getattr(ring, "events", None):
-                    ftail = ring.tail()
-                    lines.append(
-                        f"rank {r} flight recorder "
-                        f"(last {len(ftail)} of {ring.seq} events):"
-                    )
-                    lines.extend(f"  {t}" for t in ftail)
-                tb = rep.get("traceback", "")
-                if tb:
-                    lines.append(f"rank {r} remote traceback:")
-                    lines.extend(
-                        f"  {t}" for t in tb.rstrip().splitlines()
-                    )
-            else:
-                lines.append(
-                    f"rank {r} died without posting a result "
-                    f"(exitcode {dead[r]})"
-                )
-        for r in sorted(recoveries):
-            rep = recoveries[r]
-            lines.append(
-                f"rank {r} survived and entered recovery "
-                f"(agreed failed set {sorted(rep.get('failed', ()))}, "
-                f"replica at iteration {rep.get('iteration')})"
-            )
-        if postmortem is not None:
-            lines.extend(postmortem.lines())
-        if timed_out and not failed:
-            head = (
-                f"SPMD run timed out after {timeout:.0f}s waiting for "
-                f"{size - len(results)} of {size} ranks"
-            )
-        else:
-            head = (
-                f"SPMD run failed: ranks {failed} failed, "
-                f"{succeeded} succeeded"
-                + (f", {aborted} aborted" if aborted else "")
-                + (
-                    f", {sorted(recoveries)} recovered state"
-                    if recoveries
-                    else ""
-                )
-            )
-        raise RankFailureError(
-            "\n".join([head] + lines),
-            failed=failed,
-            succeeded=succeeded,
-            aborted=aborted,
-            exitcodes=dead,
-            profiles=profiles,
-            recovery_reports=recoveries,
-            flight_records=flights,
-            postmortem=postmortem,
-        )
-    if profile_out is not None:
-        profile_out.update(profiles)
-    return [results[r] for r in range(size)]
+    return reports.finish(timeout, profile_out)

@@ -27,6 +27,29 @@ def backend(request) -> str:
     return request.param
 
 
+def _run_on(wire, fn, size, *args, config=None, timeout=60.0):
+    """Run ``fn`` on ``size`` ranks through ``run_spmd`` over ``wire``
+    (``"shm"``/``"p2p"``/``"tcp"``), or through ``launch_spmd`` when
+    ``wire`` is ``"launched"`` (spawned subprocess ranks over tcp)."""
+    if wire == "launched":
+        from repro.distributed.launch import launch_spmd
+
+        return launch_spmd(fn, size, *args, config=config, timeout=timeout)
+    from repro.vmpi.mp_comm import run_spmd
+
+    return run_spmd(
+        fn, size, *args, transport=wire, config=config, timeout=timeout
+    )
+
+
+@pytest.fixture
+def run_on():
+    """``run_on(wire, fn, size, *args, config=, timeout=)``: one call
+    shape for forked (shm/tcp) and launched runs, so failure-verdict
+    tests can assert the same outcome for every launcher."""
+    return _run_on
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)

@@ -1,13 +1,12 @@
 """Cross-layer collective conformance suite.
 
 One parametrized harness runs every collective (allreduce,
-reduce-scatter, allgather, bcast, gather, barrier) across four
+reduce-scatter, allgather, bcast, gather, barrier) across three
 execution layers — the peer-to-peer ``mp_comm`` transport on both its
 wires (pooled shared memory and TCP sockets; the shm wire in both the
 deterministic rank-order algorithms and the tree-ordered power-of-two
-ones), the legacy coordinator-star transport, and the in-process
-executable block collectives of :mod:`repro.vmpi.collectives` — over
-group sizes {1, 2, 3, 4, 7, 8} and payload corners (float32/float64,
+ones) and the in-process executable block collectives of
+:mod:`repro.vmpi.collectives` — over group sizes {1, 2, 3, 4, 7, 8} and payload corners (float32/float64,
 integer dtypes, empty arrays, non-contiguous views, 0-d scalars,
 ragged allgather extents, extents that do not divide the group size),
 asserting *bit-identical* results against a NumPy reference.  The tcp
@@ -47,7 +46,6 @@ GROUP_SIZES = (1, 2, 3, 4, 7, 8)
 TRANSPORTS = (
     "p2p-det",
     "p2p-nondet",
-    "star",
     "blocks",
     pytest.param("tcp", marks=pytest.mark.transport_matrix),
 )
@@ -167,8 +165,6 @@ def _blocks_layer(size: int) -> list[dict[str, object]]:
 def _run_layer(transport: str, size: int) -> tuple:
     if transport == "blocks":
         return tuple(_blocks_layer(size))
-    if transport == "star":
-        return tuple(run_spmd(_conformance_program, size, transport="star"))
     if transport == "tcp":
         return tuple(
             run_spmd(
@@ -293,17 +289,17 @@ def test_shm_and_tcp_traces_identical(size):
             )
 
 
-def test_deterministic_p2p_matches_star_bitwise():
-    """With rank-order reductions the new transport reproduces the
-    star coordinator's left-to-right sums bit-for-bit (exactness of
-    the integer payloads is not needed for this pairing)."""
+def test_deterministic_p2p_matches_blocks_bitwise():
+    """With rank-order reductions the transport reproduces the block
+    collectives' left-to-right sums bit-for-bit (exactness of the
+    integer payloads is not needed for this pairing)."""
     for size in (3, 4):
         p2p = _run_layer("p2p-det", size)
-        star = _run_layer("star", size)
+        blocks = _run_layer("blocks", size)
         for rank in range(size):
             for name, _, _, _ in CASES:
                 _assert_bit_identical(
-                    p2p[rank][name], star[rank][name], f"p={size} {name}"
+                    p2p[rank][name], blocks[rank][name], f"p={size} {name}"
                 )
 
 
@@ -335,7 +331,6 @@ class TestDivergenceTimeout:
         "transport",
         [
             "p2p",
-            "star",
             pytest.param("tcp", marks=pytest.mark.transport_matrix),
         ],
     )

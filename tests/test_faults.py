@@ -13,7 +13,8 @@ pooled-shm and tcp wires; ``TestTcpWireFaults`` certifies that, plus
 retry-with-backoff and checkpoint/restart over sockets.  The
 torn-frame/partial-recv failure mode (a peer dying mid-frame) is
 covered at the unit level in ``test_transport.py`` and at the job
-level by the tcp rows of ``TestCrashDetection``.
+level by the tcp and launched rows of ``TestCrashDetection``
+(the launched rows must reach the forked runs' verdict).
 """
 
 import glob
@@ -197,23 +198,28 @@ class TestInjectorUnit:
     "transport",
     [
         "p2p",
-        "star",
         pytest.param("tcp", marks=pytest.mark.transport_matrix),
+        # Spawned subprocess ranks: same rank body, same verdict.
+        pytest.param("launched", marks=pytest.mark.transport_matrix),
     ],
 )
 class TestCrashDetection:
     def test_crash_fails_fast_with_identity_and_traceback(
-        self, transport
+        self, transport, run_on
     ):
         """The acceptance bar: a mid-sweep kill fails within 5 s and the
         error names the dead rank and carries its remote traceback."""
         cfg = CommConfig(fault_plan=FaultPlan.kill(1, op_index=3))
         t0 = time.monotonic()
         with pytest.raises(RankFailureError) as ei:
-            run_spmd(_prog_rounds, 2, config=cfg, transport=transport)
+            run_on(transport, _prog_rounds, 2, config=cfg, timeout=120.0)
         assert time.monotonic() - t0 < 5.0
         err = ei.value
         assert err.failed_ranks == (1,)
+        # The survivor was blocked on the dead rank: aborted, not
+        # failed, on every wire and launcher.
+        assert err.aborted_ranks == (0,)
+        assert err.succeeded_ranks == ()
         msg = str(err)
         assert "rank 1" in msg
         assert "injected crash" in msg
@@ -221,10 +227,10 @@ class TestCrashDetection:
         assert "remote traceback" in msg
         assert "InjectedRankCrash" in msg
 
-    def test_trace_tail_in_error(self, transport):
+    def test_trace_tail_in_error(self, transport, run_on):
         cfg = CommConfig(fault_plan=FaultPlan.kill(0, op_index=4))
         with pytest.raises(RankFailureError) as ei:
-            run_spmd(_prog_rounds, 2, config=cfg, transport=transport)
+            run_on(transport, _prog_rounds, 2, config=cfg, timeout=120.0)
         msg = str(ei.value)
         # 3 completed collectives before the crash at #4.
         assert "last collectives" in msg
@@ -450,7 +456,7 @@ class TestGuardRails:
         assert out == [True, True]
 
 
-@pytest.mark.parametrize("transport", ["p2p", "star"])
+@pytest.mark.parametrize("transport", ["p2p"])
 class TestShmHygiene:
     def test_clean_run_leaves_no_residue(self, transport):
         before = set(_shm_residue())
@@ -479,15 +485,3 @@ class TestShmHygiene:
         with pytest.raises(RankFailureError):
             run_spmd(_prog_shm_clean, 2, transport=transport, config=cfg)
         assert set(_shm_residue()) <= before
-
-
-class TestStarCoordinatorDrain:
-    def test_hard_crash_does_not_hang_the_coordinator(self):
-        """A star worker that dies before posting its sentinel used to
-        leave the coordinator blocked until terminate; the drain path
-        (stand-in sentinels) must keep teardown fast."""
-        cfg = CommConfig(fault_plan=FaultPlan.kill(1, op_index=2))
-        t0 = time.monotonic()
-        with pytest.raises(RankFailureError):
-            run_spmd(_prog_rounds, 2, transport="star", config=cfg)
-        assert time.monotonic() - t0 < 8.0

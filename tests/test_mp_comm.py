@@ -158,6 +158,13 @@ class TestRunSPMD:
         with pytest.raises(ValueError):
             run_spmd(_prog_allreduce, 0)
 
+    # The retired coordinator wire's name included: shm and tcp are
+    # the only wires.
+    @pytest.mark.parametrize("name", ["star", "mpi"])
+    def test_unknown_transport_rejected(self, name):
+        with pytest.raises(ValueError, match="unknown transport"):
+            run_spmd(_prog_allreduce, 2, transport=name)
+
 
 class TestTimeoutHygiene:
     def test_collective_timeout_configurable(self, backend):

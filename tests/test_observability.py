@@ -67,10 +67,6 @@ def _prog_profiled_crash(comm: ProcessComm) -> float:
     return float(out.sum())
 
 
-def _prog_trivial(comm: ProcessComm) -> float:
-    return float(comm.allreduce(np.ones(2)).sum())
-
-
 class TestSpanProfiler:
     def test_nesting_depth_and_order(self):
         prof = SpanProfiler(rank=0)
@@ -361,15 +357,19 @@ class TestFailurePath:
         assert "last open span" in str(err)
         assert "'stuck step'" in str(err)
 
-    def test_profile_requires_p2p(self):
-        with pytest.raises(ValueError, match="p2p"):
-            run_spmd(
-                _prog_trivial,
-                2,
-                transport="star",
-                config=CommConfig(profile=True),
-                timeout=30.0,
-            )
+    def test_launched_failed_rank_ships_partial_profile(self, run_on):
+        # Launched ranks run the same rank body, so their failure
+        # reports carry the partial profile too.
+        cfg = CommConfig(
+            profile=True,
+            fault_plan=FaultPlan.kill(1, op_index=2, hard=False),
+        )
+        with pytest.raises(RankFailureError) as exc_info:
+            run_on("launched", _prog_profiled_crash, 4, config=cfg)
+        err = exc_info.value
+        assert err.failed_ranks == (1,)
+        assert err.profiles[1].open_span["name"] == "stuck step"
+        assert "'stuck step'" in str(err)
 
 
 class TestAttributionSynthetic:

@@ -437,12 +437,25 @@ _CRASH_VERDICT = (
 )
 
 
+#: The cross-wire matrix plus launched ranks (``launch_spmd``): every
+#: launcher must reach the same verdict literal.
+_WIRES = pytest.mark.parametrize(
+    "wire",
+    [
+        "shm",
+        pytest.param("tcp", marks=pytest.mark.transport_matrix),
+        pytest.param("launched", marks=pytest.mark.transport_matrix),
+    ],
+)
+
+
 class TestPostmortemCrossWire:
-    def test_seeded_deadlock_postmortem(self, backend):
+    @_WIRES
+    def test_seeded_deadlock_postmortem(self, wire, run_on):
         with pytest.raises(RankFailureError) as info:
-            run_spmd(
-                _prog_deadlock, 3, timeout=60.0, transport=backend,
-                collective_timeout=2.0,
+            run_on(
+                wire, _prog_deadlock, 3,
+                config=CommConfig(collective_timeout=2.0),
             )
         exc = info.value
         pm = exc.postmortem
@@ -450,6 +463,8 @@ class TestPostmortemCrossWire:
         assert pm.verdict == _DEADLOCK_VERDICT
         assert pm.diverging == [1]
         assert pm.collective == "allreduce" and pm.op_id == 2
+        assert exc.succeeded_ranks == (1,)
+        assert exc.failed_ranks == (0, 2)
         # All three rings reached the launcher: the early exiter ships
         # its ring before its result, the timed-out ranks embed theirs
         # in the failure report.
@@ -460,22 +475,23 @@ class TestPostmortemCrossWire:
         assert "flight recorder (last" in msg
         assert "postmortem: " + _DEADLOCK_VERDICT in msg
 
-    def test_seeded_crash_postmortem(self, backend):
+    @_WIRES
+    def test_seeded_crash_postmortem(self, wire, run_on):
         cfg = CommConfig(
             fault_plan=FaultPlan.kill(1, op_index=3),
             collective_timeout=15.0,
         )
         with pytest.raises(RankFailureError) as info:
-            run_spmd(
-                _prog_crash_site, 3, timeout=60.0, transport=backend,
-                config=cfg,
-            )
+            run_on(wire, _prog_crash_site, 3, config=cfg)
         exc = info.value
         pm = exc.postmortem
         assert pm is not None
         assert pm.verdict == _CRASH_VERDICT
         assert pm.crashed == [1] and pm.diverging == [1]
         assert pm.collective == "allreduce" and pm.op_id == 3
+        assert exc.failed_ranks == (1,)
+        assert exc.aborted_ranks == (0, 2)
+        assert exc.succeeded_ranks == ()
         # The crashed rank shipped its ring before dying; its last
         # state shows the collective it died inside.
         assert exc.flight_records[1].last_state()["open_op"] == "allreduce"
@@ -549,10 +565,3 @@ class TestLiveTelemetryChannel:
         rec = [e for e in mon.events if e["kind"] == "postmortem"][0]
         assert rec["verdict"] == _DEADLOCK_VERDICT
         assert rec["diverging"] == [1]
-
-    def test_monitor_with_star_transport_rejected(self):
-        with pytest.raises(ValueError, match="monitor"):
-            run_spmd(
-                _prog_clean, 2, np.ones(4), timeout=60.0,
-                transport="star", monitor=TelemetryMonitor(),
-            )
