@@ -16,9 +16,15 @@ BENCH_SCHEMA = "repro-bench/v1"
 
 
 def save_result(name: str, text: str) -> None:
-    """Print a regenerated table/figure and persist it to results/."""
+    """Print a regenerated table/figure and persist it to results/.
+
+    Smoke runs (``MP_BENCH_SMOKE=1``) write ``<name>.smoke.txt``
+    (gitignored) so they never overwrite a committed full-size table.
+    """
     RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+    smoke = os.environ.get("MP_BENCH_SMOKE", "") == "1"
+    suffix = ".smoke.txt" if smoke else ".txt"
+    (RESULTS_DIR / f"{name}{suffix}").write_text(text + "\n")
     print(f"\n=== {name} ===\n{text}\n")
 
 

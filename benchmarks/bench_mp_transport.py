@@ -19,8 +19,14 @@ tcp can beat shm at some sizes, so the numbers are a model input, not
 a performance claim.  (The per-message software cost against a raw
 pipe or socket is measured by ``tuckerbench``'s transport layer.)
 
+A second table places ``CommConfig.shm_min_bytes`` on the shm wire:
+a two-rank ping-pong per payload size, once with every array pickled
+into the stream frame and once with every array riding a pooled
+segment, reported as one-way seconds per message.
+
 Timing happens *inside* the ranks (process spawn/join excluded); the
-reported figure is the slowest rank's per-call time, best of two runs.
+reported figure is the slowest rank's per-call time, best of
+``TRIALS`` runs.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import numpy as np
 from _util import save_result
 from repro.analysis.reporting import format_table
 from repro.vmpi.collectives import fit_alpha_beta, transport_crossover_bytes
-from repro.vmpi.mp_comm import run_spmd
+from repro.vmpi.mp_comm import CommConfig, run_spmd
 
 #: CI smoke mode: tiny payloads, one trial — exercises both
 #: transports end-to-end and fails only on crashes.
@@ -51,10 +57,17 @@ SIZES = [
 OPS = ("allreduce", "reduce_scatter", "allgather")
 REPS = {1 << 10: 12, 1 << 13: 10, 1 << 18: 6, 1 << 20: 3}
 TRIALS = 3
+# Ping-pong payloads (bytes) around the default shm_min_bytes.
+SPLIT_SIZES = [1 << 16, 1 << 17, 1 << 18, 1 << 19, 1 << 20]
+SPLIT_REPS = 40
 if SMOKE:
     SIZES = [("8KiB", 1 << 10), ("64KiB", 1 << 13)]
     REPS = {1 << 10: 2, 1 << 13: 2}
     TRIALS = 1
+    SPLIT_SIZES = [1 << 16]
+    SPLIT_REPS = 2
+#: shm_min_bytes settings forcing every array one way.
+SPLIT_MODES = {"in-frame": 1 << 62, "segment": 1}
 
 
 def _bench_program(comm, op: str, words: int, reps: int) -> float:
@@ -94,6 +107,44 @@ def _time_collective(transport: str, op: str, words: int) -> float:
     return best
 
 
+def _pingpong_program(comm, nbytes: int, reps: int) -> float:
+    arr = np.ones(nbytes // 8)
+
+    def once():
+        if comm.rank == 0:
+            comm.send(1, arr)
+            comm.recv(1)
+        else:
+            comm.send(0, comm.recv(0))
+
+    once()  # warm-up: fault in buffers, build the segment pool
+    once()
+    comm.barrier()
+    t0 = time.perf_counter()
+    for _ in range(reps):
+        once()
+    return time.perf_counter() - t0
+
+
+def _split_rows() -> list[list]:
+    """One-way ms per message on the shm wire, in-frame vs segment."""
+    rows = []
+    for nbytes in SPLIT_SIZES:
+        row: list = [nbytes]
+        for min_bytes in SPLIT_MODES.values():
+            config = CommConfig(shm_min_bytes=min_bytes)
+            best = min(
+                max(run_spmd(
+                    _pingpong_program, 2, nbytes, SPLIT_REPS,
+                    transport="shm", config=config, timeout=300.0,
+                ))
+                for _ in range(TRIALS)
+            )
+            row.append(best / (2 * SPLIT_REPS) * 1e3)
+        rows.append(row + ["segment" if row[2] < row[1] else "in-frame"])
+    return rows
+
+
 def _crossover_rows(samples: dict[str, dict[str, list]]) -> list[list]:
     """Fit the postal model per op and locate the shm/tcp break-even."""
     rows = []
@@ -127,9 +178,9 @@ def test_mp_transport_shootout(benchmark):
                 samples[op]["bytes"].append(words * 8)
                 samples[op]["shm"].append(t_p2p)
                 samples[op]["tcp"].append(t_tcp)
-        return rows, samples
+        return rows, samples, _split_rows()
 
-    rows, samples = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows, samples, split = benchmark.pedantic(run, rounds=1, iterations=1)
     save_result(
         "mp_transport",
         format_table(
@@ -149,6 +200,16 @@ def test_mp_transport_shootout(benchmark):
                 "postal-model fit t = alpha + beta*bytes per wire; "
                 "crossover = payload where tcp stops losing "
                 "(inf: shm wins at every size)"
+            ),
+        )
+        + "\n\n"
+        + format_table(
+            ["bytes", "in-frame ms", "segment ms", "faster"],
+            split,
+            title=(
+                "shm wire, p=2 ping-pong: one-way time per array "
+                "message, pickled in the frame vs a pooled segment "
+                f"(default shm_min_bytes = {CommConfig().shm_min_bytes})"
             ),
         ),
     )

@@ -10,7 +10,8 @@ per-iteration time, best of ``TRIALS`` launches.
 
 Acceptance (non-smoke): verify overhead stays **below 10%** on the
 guard shape.  The verifier's control round is a handful of sub-KB
-queue messages per collective, so its cost is a fixed per-collective
+frames on the ordinary message stream per collective, so its cost is
+a fixed per-collective
 latency — on the paper-scale shapes where bandwidth and FLOPs
 dominate, it vanishes; the guard shape is sized so compute dominates
 the same way.  Plain/verify launches are *interleaved* and each mode

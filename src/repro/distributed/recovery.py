@@ -17,12 +17,14 @@ bit-identical to a plain run's — replication is invisible to the
 certified cost accounting.
 
 **Failure agreement** (:meth:`RecoveryManager.on_failure`).  On a peer
-death — :class:`~repro.vmpi.transport.TransportClosedError` in-band on
-tcp, a launcher-posted revoke sentinel
-(:class:`~repro.vmpi.transport.WorldRevokedError`) on shm — the
-survivor revokes the world (ULFM-style: a revoke notice wakes every
-peer still blocked on a *live* rank) and runs a bounded two-round
-suspect-set exchange so survivors converge on the same failed set.
+death — seen in-band on both wires as
+:class:`~repro.vmpi.transport.TransportClosedError` when the dead
+rank's sockets close, or as
+:class:`~repro.vmpi.transport.WorldRevokedError` when another survivor
+saw it first — the survivor revokes the world (ULFM-style: a revoke
+notice wakes every peer still blocked on a *live* rank) and runs a
+bounded two-round suspect-set exchange so survivors converge on the
+same failed set.
 The round is best-effort by construction (a survivor that never
 enters a collective cannot answer and is over-suspected); the
 launcher's liveness view is the authoritative arbiter — a rank is
@@ -260,10 +262,7 @@ class RecoveryManager:
             for peer in range(comm.size):
                 if peer == comm.rank or peer in agreed:
                     continue
-                try:
-                    t._post(peer, tag, notice)
-                except (OSError, CollectiveTimeoutError):
-                    agreed.add(peer)
+                t._post(peer, tag, notice)
             for peer in range(comm.size):
                 if peer == comm.rank or peer in agreed:
                     continue

@@ -11,11 +11,11 @@ Two transports are available, both carrying the same
 
 * ``"p2p"`` (alias ``"shm"``; default, :class:`ProcessComm` over
   :class:`~repro.vmpi.transport.ShmPoolTransport`) — a peer-to-peer
-  point-to-point layer (per-rank inbox queues carrying tagged
-  messages; NumPy payloads above a size threshold travel through
-  *pooled* ``multiprocessing.shared_memory`` segments without
-  pickling, smaller or non-array payloads fall back to pickle) with
-  *real* collective
+  point-to-point layer (framed tagged messages over one
+  ``socketpair`` stream per rank pair; NumPy payloads above a size
+  threshold travel through *pooled* ``multiprocessing.shared_memory``
+  segments without pickling, smaller or non-array payloads are
+  pickled in-frame) with *real* collective
   algorithms on top: pairwise-exchange / recursive-halving
   reduce-scatter, ring / recursive-doubling allgather, Bruck /
   recursive-doubling / Rabenseifner allreduce, binomial-tree
@@ -63,6 +63,7 @@ import math
 import os
 import pickle
 import queue as queue_mod
+import socket
 import sys
 import threading
 import time
@@ -92,11 +93,11 @@ from repro.vmpi.transport import (  # noqa: F401  (re-exported)
     TransportClosedError,
     WorldRevokedError,
     _FREE_TAG,
-    _REVOKE_TAG,
     _contig,
     _payload_arrays,
     open_rendezvous_listener,
     serve_rendezvous,
+    socketpair_mesh,
 )
 
 __all__ = [
@@ -215,10 +216,14 @@ class CommConfig:
         :class:`CollectiveTimeoutError` is raised.
     shm_min_bytes:
         Array payloads of at least this many bytes travel through a
-        pooled ``multiprocessing.shared_memory`` segment (no pickling);
-        smaller ones are pickled through the inbox queue.  The default
-        (256 KiB) is where the two-memcpy segment path overtakes
-        pickling through a pipe in 64 KiB chunks.
+        pooled ``multiprocessing.shared_memory`` segment (no pickling;
+        the frame carries only the segment header); smaller ones are
+        pickled into the frame itself.  The default (256 KiB) sits at
+        the crossover measured on the socketpair wire by
+        ``benchmarks/bench_mp_transport.py`` (2-core Linux host):
+        in-frame wins up to 128 KiB, the two paths are within noise at
+        256 KiB, and segments are 3-8x faster from 512 KiB, where a
+        frame no longer fits the ~208 KB kernel socket buffer.
     deterministic:
         Reduce in group-rank order (bit-identical to the sequential
         left-to-right block collectives).  When ``False``, power-of-two
@@ -1461,7 +1466,7 @@ def _failure_report(exc: BaseException, comm: ProcessComm) -> dict:
         "error": repr(exc),
         "traceback": traceback_mod.format_exc(),
         "trace_tail": comm.trace.tail(),
-        # A closed-peer abort (or a launcher-revoked world) is a
+        # A closed-peer abort (or a revoked world) is a
         # casualty of some other rank's death, not a primary failure:
         # the launcher demotes it to the aborted set when a primary
         # failure explains it.
@@ -1489,10 +1494,9 @@ def _rank_body(
     args: tuple,
     *,
     backend: str = "p2p",
-    inboxes: list["mp.Queue"] | None = None,
+    peers: dict[int, socket.socket] | None = None,
     run_token: str = "",
     board: object | None = None,
-    ctrl_conns: dict[int, object] | None = None,
     rendezvous: tuple[str, int] | None = None,
 ) -> None:
     """One logical rank's lifetime: transport, comm, program, report.
@@ -1517,8 +1521,7 @@ def _rank_body(
             )
             return
     else:
-        channel = ShmPoolTransport(rank, size, inboxes, run_token, config)
-        channel.ctrl_conns = ctrl_conns
+        channel = ShmPoolTransport(rank, size, config, peers or {}, run_token)
     comm = ProcessComm(rank, size, channel, config, board=board)
     pusher = None
     if config.telemetry_interval > 0:
@@ -1546,6 +1549,7 @@ def _rank_body(
         if ring is not None:
             post("flight", ring)
         post("ok", out)
+        channel.post_bye()
     except InjectedRankCrash as exc:
         post("crashed", _failure_report(exc, comm))
         if exc.hard:
@@ -1593,23 +1597,31 @@ def _p2p_worker(
     config: CommConfig,
     args: tuple,
     wire: dict[str, Any],
+    ends: dict[int, dict[int, socket.socket]],
+    foreign: Sequence[socket.socket],
 ) -> None:
     """One OS process hosting one or more logical ranks.
 
     The common case is one rank per process.  The shrink recovery
     policy re-launches a smaller process world whose surviving
     processes *host* the failed logical ranks as extra threads — each
-    hosted rank gets its own transport endpoint (its own inbox queue /
-    its own socket mesh) and its own :class:`ProcessComm`, so the
-    logical world size, and with it every collective schedule and
-    reduction order, is exactly that of the original run.  ``wire``
-    holds the transport keywords of :func:`_rank_body`.
+    hosted rank gets its own transport endpoint (its own row of the
+    socketpair mesh / its own tcp mesh) and its own
+    :class:`ProcessComm`, so the logical world size, and with it every
+    collective schedule and reduction order, is exactly that of the
+    original run.  ``wire`` holds the transport keywords of
+    :func:`_rank_body` shared by the hosted ranks, ``ends`` each
+    hosted rank's socketpair ends (shm wire), and ``foreign`` the
+    mesh ends a forked child inherited but does not own: they are
+    closed first, so a rank's exit reaches its peers as EOF.
     """
+    for sock in foreign:
+        sock.close()
     ranks = list(ranks)
     if len(ranks) == 1:
         _rank_body(
             fn_bytes, ranks[0], size, _queue_post(result_queue, ranks[0]),
-            config, args, **wire,
+            config, args, peers=ends.get(ranks[0]), **wire,
         )
         return
     threads = [
@@ -1619,7 +1631,7 @@ def _p2p_worker(
                 fn_bytes, r, size, _queue_post(result_queue, r), config,
                 args,
             ),
-            kwargs=wire,
+            kwargs={**wire, "peers": ends.get(r)},
             name=f"hosted-rank-{r}",
         )
         for r in ranks
@@ -1699,8 +1711,7 @@ class _ReportCollector:
             self.errors[rank] = payload
             if status == "crashed":
                 # The rank's process is about to os._exit (or already
-                # has): treat like an observed death so blocked shm
-                # survivors are woken for their rings.
+                # has): the postmortem counts it as crashed.
                 self.hard_crashed.add(rank)
         if mon is not None:
             mon.on_done(rank, status)
@@ -1712,7 +1723,6 @@ class _ReportCollector:
         recv: Callable[[float], tuple | None],
         exitcode: Callable[[int], int | None],
         timeout: float,
-        revoke: Callable[[list[int], list[int]], None] | None = None,
     ) -> None:
         """Feed reports until every rank has posted its last, the run
         times out, or the grace window after a failure runs out.
@@ -1721,9 +1731,10 @@ class _ReportCollector:
         ``None`` after ``wait`` idle seconds; ``exitcode(rank)`` is
         ``None`` while the rank's process lives.  Idle polls check
         liveness, so a rank that dies without posting a report aborts
-        the run within poll + grace, not ``timeout``.  ``revoke(
-        suspects, survivors)`` (the shm wire, which has no in-band
-        death signal) is called once when a death is observed.
+        the run within poll + grace, not ``timeout``.  The launcher
+        never wakes blocked ranks itself: on both wires a rank that
+        exits or dies closes its sockets, and peers still waiting on
+        it see that in-band and post their own reports.
         """
         deadline = time.monotonic() + timeout
         abort_deadline: float | None = None
@@ -1759,21 +1770,6 @@ class _ReportCollector:
                 abort_deadline = time.monotonic() + self.grace
             elif not (self.dead or self.errors or self.recoveries):
                 abort_deadline = None
-            if revoke is not None and (
-                self.dead or self.hard_crashed
-                or (self.elastic and self.errors)
-            ):
-                # Elastic runs revoke on any failure (survivors must
-                # run the agreement round); non-elastic runs revoke on
-                # process death only, so the woken survivors post
-                # their flight rings (as demoted-secondary errors)
-                # instead of being terminated ringless — ordinary
-                # raised exceptions wait out their collective timeout.
-                revoke(
-                    sorted(set(self.dead) | set(self.errors)),
-                    [r for r in open_ranks if r not in self.dead],
-                )
-                revoke = None
 
     def finish(
         self, timeout: float, profile_out: dict[int, object] | None = None
@@ -1785,13 +1781,12 @@ class _ReportCollector:
             return [self.results[r] for r in range(self.size)]
         errors, recoveries = self.errors, self.recoveries
         profiles, flights, dead = self.profiles, self.flights, self.dead
-        # tcp detects a vanished peer in-band (TransportClosedError),
-        # so the victim's neighbours self-report before the launcher's
-        # liveness poll fires.  On the shm wire those ranks block and
-        # end up terminated-without-a-report — the aborted set.  Fold
-        # the self-reported casualties into the same set whenever a
-        # primary failure explains them, so both wires classify one
-        # crash identically.
+        # Both wires detect a vanished peer in-band
+        # (TransportClosedError), so the victim's neighbours
+        # self-report before the launcher's liveness poll fires.
+        # Those casualties belong in the aborted set, with the ranks
+        # terminated without a report, whenever a primary failure
+        # explains them.
         secondary = [r for r, rep in errors.items() if rep.get("secondary")]
         if (set(errors) - set(secondary)) | set(dead) | set(recoveries):
             for r in secondary:
@@ -2028,8 +2023,8 @@ def run_spmd(
     if host_map is not None:
         if cfg.verify:
             raise ValueError(
-                "host_map is incompatible with verify mode (the ctrl-pipe "
-                "mesh and wait-for board assume one rank per process)"
+                "host_map is incompatible with verify mode (the wait-for "
+                "board assumes one rank per process)"
             )
         hosted_ranks = sorted(r for entry in host_map for r in entry)
         if hosted_ranks != list(range(size)):
@@ -2045,11 +2040,7 @@ def run_spmd(
     run_token = uuid.uuid4().hex[:8]
     fn_bytes = pickle.dumps(fn)
 
-    ctrl_mesh: list[dict[int, object]] | None = None
     rdv_listener = None
-    inboxes = (
-        [ctx.Queue() for _ in range(size)] if transport == "p2p" else None
-    )
     # Verify mode: a lock-free shared board of (waiting_on, op_id,
     # stamp) triples, one per rank, feeding the wait-for-graph
     # deadlock detector.  Each rank writes only its own slots.
@@ -2061,19 +2052,11 @@ def run_spmd(
     if board is not None:
         for r in range(size):
             board[3 * r] = -1  # idle, not "waiting on rank 0"
-    # Verify mode, shm backend only: a dedicated duplex pipe per rank
-    # pair carries the control rounds — Connection.send is a
-    # synchronous write with no feeder thread, so the verifier's fixed
-    # latency stays small even with every rank contending for CPU.
-    # The tcp backend rides its control traffic on the ordinary frame
-    # stream instead (no extra descriptors).
-    if cfg.verify and size > 1 and transport == "p2p":
-        ctrl_mesh = [{} for _ in range(size)]
-        for i in range(size):
-            for j in range(i + 1, size):
-                end_i, end_j = ctx.Pipe(duplex=True)
-                ctrl_mesh[i][j] = end_i
-                ctrl_mesh[j][i] = end_j
+    # shm backend: one socketpair per rank pair carries every message.
+    # A forked child inherits every end, so it is handed the ends it
+    # does not own to close; a spawned child receives only its own.
+    mesh = socketpair_mesh(size) if transport == "p2p" else []
+    forked = ctx.get_start_method() == "fork"
     # TCP backend: the launcher runs the one-shot rendezvous round
     # (address exchange) on a loopback listener; ranks mesh up against
     # it during transport construction.
@@ -2093,29 +2076,30 @@ def run_spmd(
                 fn_bytes, tuple(hosted), size, result_queue, cfg, args,
                 {
                     "backend": transport,
-                    "inboxes": inboxes,
                     "run_token": run_token,
                     "board": board,
-                    "ctrl_conns": (
-                        ctrl_mesh[hosted[0]] if ctrl_mesh is not None
-                        else None
-                    ),
                     "rendezvous": rendezvous,
                 },
+                {r: mesh[r] for r in hosted} if mesh else {},
+                [
+                    sock for r, row in enumerate(mesh)
+                    if forked and r not in hosted for sock in row.values()
+                ],
             ),
         )
         for hosted in host_map
     ]
     proc_of = {r: workers[pi] for pi, hosted in enumerate(host_map)
                for r in hosted}
-    for w in workers:
-        w.start()
-    if ctrl_mesh is not None:
-        # The launcher keeps no ctrl endpoints: workers own them now
-        # (dup'd into each child), so drop the parent's copies.
-        for conns in ctrl_mesh:
-            for conn in conns.values():
-                conn.close()
+    try:
+        for w in workers:
+            w.start()
+    finally:
+        # The workers own the mesh now: the launcher's copies must go,
+        # or a rank's death would never reach its peers as EOF.
+        for row in mesh:
+            for sock in row.values():
+                sock.close()
 
     def recv(wait: float) -> tuple | None:
         try:
@@ -2123,25 +2107,9 @@ def run_spmd(
         except queue_mod.Empty:
             return None
 
-    def revoke(suspects: list[int], survivors: list[int]) -> None:
-        # The shm wire has no in-band death signal: the launcher *is*
-        # the failure detector, and it wakes blocked survivors by
-        # posting a revoke notice straight into their inbox queues
-        # (src = -1, a launcher-origin sentinel).
-        for r in survivors:
-            try:
-                inboxes[r].put((-1, _REVOKE_TAG, suspects))
-            except Exception:  # pragma: no cover - torn queue
-                pass
-
     reports = _ReportCollector(size, cfg, monitor)
     try:
-        reports.drain(
-            recv,
-            lambda r: proc_of[r].exitcode,
-            timeout,
-            revoke if transport == "p2p" else None,
-        )
+        reports.drain(recv, lambda r: proc_of[r].exitcode, timeout)
     finally:
         if reports.failed:
             for w in workers:

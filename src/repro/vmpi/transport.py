@@ -1,24 +1,35 @@
-"""Pluggable point-to-point transports for the process-parallel layer.
+"""Point-to-point transports for the process-parallel layer.
 
 :class:`~repro.vmpi.mp_comm.ProcessComm` runs its collective
-algorithms over an abstract :class:`Transport`: tagged, non-blocking
-``send`` / blocking ``recv`` point-to-point messaging plus the
-lifecycle, fault-injection, verification, and profiling hooks the rest
-of the stack taps.  Two backends implement it:
+algorithms over a :class:`Transport`: tagged, non-blocking ``send`` /
+blocking ``recv`` point-to-point messaging plus the lifecycle,
+fault-injection, verification, and profiling hooks the rest of the
+stack taps.  Every wire moves every kind of traffic — payloads,
+control rounds, free-credits, revoke notices — as length-prefixed
+pickled frames over one connected stream socket per peer
+(``socket`` + ``selectors``, non-blocking with buffered writes so
+symmetric exchange patterns cannot deadlock on full socket buffers; a
+writer thread delivers whatever the kernel could not take at once, so
+a frame arrives even while its sender computes).
+A peer that exits or dies closes its sockets, so a survivor waiting on
+it learns in-band on either wire — :class:`TransportClosedError` for a
+peer that failed or died, :class:`CollectiveTimeoutError` for one
+whose program returned (a divergence).  The two backends differ only
+in how the sockets are made and how large arrays are encoded:
 
-* :class:`ShmPoolTransport` — the fast single-host default.  Per-rank
-  ``multiprocessing`` inbox queues carry tagged messages; NumPy
-  payloads above ``CommConfig.shm_min_bytes`` travel through *pooled*
-  ``multiprocessing.shared_memory`` segments without pickling (two
-  memcpys and one credit message in steady state).
-* :class:`TcpSocketTransport` — length-prefixed pickled frames over
-  per-peer persistent TCP connections (``socket`` + ``selectors``,
-  non-blocking with buffered writes so symmetric exchange patterns
-  cannot deadlock on full socket buffers).  Ranks find each other
-  through a tiny rendezvous server (:func:`serve_rendezvous`) reached
-  via a ``host:port`` the launcher plumbs in — the same env contract
-  whether ranks are forked locally, spawned as loopback subprocesses
-  by :mod:`repro.distributed.launch`, or (later) started over ssh on
+* :class:`ShmPoolTransport` — the fast single-host default.  The
+  sockets come from :func:`socketpair_mesh` (one ``socketpair`` per
+  rank pair, made by the launcher before it forks); NumPy payloads
+  above ``CommConfig.shm_min_bytes`` travel through *pooled*
+  ``multiprocessing.shared_memory`` segments without pickling, the
+  frame carrying only the segment header (two memcpys and one credit
+  frame in steady state).
+* :class:`TcpSocketTransport` — per-peer persistent TCP connections.
+  Ranks find each other through a tiny rendezvous server
+  (:func:`serve_rendezvous`) reached via a ``host:port`` the launcher
+  plumbs in — the same env contract whether ranks are forked locally,
+  spawned as loopback subprocesses by
+  :mod:`repro.distributed.launch`, or (later) started over ssh on
   other hosts.
 
 The contract that makes backends interchangeable:
@@ -31,10 +42,10 @@ The contract that makes backends interchangeable:
 * **Fault hooks** (:class:`~repro.vmpi.faults.FaultInjector`) fire at
   the transport boundary in :meth:`Transport.send`, so seeded
   delay/drop/bitflip plans corrupt shm segments and TCP frames alike.
-* **Timeouts** all surface as :class:`CollectiveTimeoutError` (TCP
-  adds :class:`TransportClosedError`, a subclass, for a peer that
-  vanished mid-frame), so retry-with-backoff, purge-on-timeout, and
-  the launcher's failure detection work unchanged.
+* **Timeouts** all surface as :class:`CollectiveTimeoutError`
+  (:class:`TransportClosedError`, a subclass, for a peer that
+  vanished), so retry-with-backoff, purge-on-timeout, and the
+  launcher's failure detection work unchanged.
 * **Control traffic** (:meth:`Transport.ctrl_send` /
   :meth:`Transport.ctrl_recv`, used by the tier-2 verifier) and the
   shm free-credits are counter-neutral, so verified runs stay
@@ -45,16 +56,14 @@ from __future__ import annotations
 
 import os
 import pickle
-import queue as queue_mod
 import random
 import selectors
 import socket
 import struct
+import threading
 import time
-from abc import ABC, abstractmethod
 from collections import deque
 
-import multiprocessing as mp
 import numpy as np
 
 try:  # pragma: no cover - always present on CPython >= 3.8
@@ -71,6 +80,7 @@ __all__ = [
     "WorldRevokedError",
     "open_rendezvous_listener",
     "serve_rendezvous",
+    "socketpair_mesh",
 ]
 
 
@@ -84,7 +94,7 @@ class CollectiveTimeoutError(RuntimeError):
 
 
 class TransportClosedError(CollectiveTimeoutError):
-    """A TCP peer connection broke or closed mid-conversation.
+    """A peer connection broke or closed mid-conversation.
 
     Subclasses :class:`CollectiveTimeoutError` so every existing
     timeout path (purge, retry-with-backoff, launcher abort) treats a
@@ -96,9 +106,8 @@ class TransportClosedError(CollectiveTimeoutError):
 class WorldRevokedError(RuntimeError):
     """The communicator was revoked after a peer failure.
 
-    ULFM-style: once any party (a surviving rank that saw a
-    :class:`TransportClosedError`, or the launcher's liveness poll)
-    decides a rank is dead, it posts a revoke notice on
+    ULFM-style: once a surviving rank sees a peer die (a
+    :class:`TransportClosedError`), it posts a revoke notice on
     :data:`_REVOKE_TAG`; every blocked ``recv`` on the receiving
     transport then raises this instead of waiting out its timeout.
     Deliberately *not* a :class:`CollectiveTimeoutError` subclass: the
@@ -190,10 +199,15 @@ _FREE_TAG = ("shmfree",)
 # Revoke notices (elastic recovery).  Counter-neutral like the free
 # credits: a revoked run must leave the CollectiveRecord traces of the
 # work done so far identical to an unfailed run's prefix.  The body is
-# a sequence of suspected-dead ranks; the source may be a surviving
-# rank (tcp in-band) or the launcher itself (shm, posted with src=-1
-# straight into the inbox queues).
+# a sequence of suspected-dead ranks, posted by a surviving rank that
+# saw a peer's connection close.
 _REVOKE_TAG = ("revoke",)
+
+# Sent by a rank whose program returned, just before its stream
+# closes.  A later wait on that rank is a divergence of the waiter's
+# schedule (a primary failure, CollectiveTimeoutError), not the
+# casualty of a death (TransportClosedError).  Counter-neutral.
+_BYE_TAG = ("bye",)
 
 #: Lazily resolved races._TracedBody (the analysis package imports the
 #: distributed drivers, which import this module — a module-scope
@@ -210,22 +224,56 @@ def _traced_body_cls():
     return _TRACED_BODY
 
 
+#: Frame header: 8-byte big-endian payload length.
+_LEN = struct.Struct(">Q")
+
+#: Per-syscall read/write granularity.
+_IO_CHUNK = 1 << 20
+
+
+def socketpair_mesh(size: int) -> list[dict[int, socket.socket]]:
+    """One connected ``socketpair`` per rank pair: ``mesh[r][p]`` is
+    rank ``r``'s end of its stream to rank ``p``.
+
+    The launcher makes the mesh before it starts the ranks and hands
+    each rank only its own row; every other end must be closed in
+    that process, or a rank's death never reaches its peers as EOF.
+    """
+    mesh: list[dict[int, socket.socket]] = [{} for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            mesh[i][j], mesh[j][i] = socket.socketpair()
+    return mesh
+
+
 # ---------------------------------------------------------------------------
-# the Transport contract
+# the Transport: one framed stream per peer
 # ---------------------------------------------------------------------------
 
 
-class Transport(ABC):
+class Transport:
     """Tagged point-to-point messaging between SPMD ranks.
 
-    ``send`` never blocks (backends buffer outbound traffic) so the
-    symmetric exchange patterns of the collective algorithms cannot
-    deadlock; ``recv`` buffers out-of-order arrivals by ``(source,
-    tag)`` and raises :class:`CollectiveTimeoutError` when nothing
-    arrives in time.  Subclasses implement the wire: how a body
-    reaches a peer (:meth:`_post`), how payloads are encoded/accounted
-    (:meth:`_send_payload` / :meth:`_decode`), and how inbound traffic
-    is pumped into the pending buffers (:meth:`_pump`).
+    ``send`` never blocks (outbound frames are buffered per peer; what
+    the kernel does not take at once, a writer thread delivers as the
+    peer reads) so the symmetric exchange patterns of the collective
+    algorithms cannot deadlock, and a sender that goes back to compute
+    does not stall its receivers; ``recv``
+    buffers out-of-order arrivals by ``(source, tag)`` and raises
+    :class:`CollectiveTimeoutError` when nothing arrives in time.
+
+    The wire is one connected stream socket per peer (``peers`` maps
+    peer rank to socket; subclasses may attach them later via
+    :meth:`_attach`).  Every message — payloads, control rounds,
+    free-credits, revoke notices — is one frame,
+    ``8-byte big-endian length || pickle((tag, body))``, posted by
+    :meth:`_post` and parsed into the pending buffers by :meth:`_pump`.
+    Subclasses choose only how array payloads are encoded
+    (:meth:`_encode` / :meth:`_decode`).  A wait on a peer whose
+    socket closed fails as soon as no buffered message from it
+    matches (:meth:`_check_peer`; mid-frame closes are reported as
+    torn frames with the byte counts), feeding the same failure paths
+    as a collective timeout.
 
     The hook attributes (``injector``, ``sanitizer``, ``monitor``,
     ``profiler``) are installed by :class:`~repro.vmpi.mp_comm.
@@ -234,7 +282,7 @@ class Transport(ABC):
     """
 
     #: backend name, e.g. ``"shm"`` / ``"tcp"`` (``repro run --backend``).
-    kind = "abstract"
+    kind = "stream"
     #: whether payloads may ride pooled shared-memory segments — gates
     #: the shm-lifecycle sanitizer (meaningless on socket backends).
     uses_shm_pool = False
@@ -247,11 +295,17 @@ class Transport(ABC):
     #: probes.
     _PROBE_AFTER = 1.0
     #: Poll slice while a deadlock monitor is watching (the monitor
-    #: needs wake-ups to probe; without one the inbox wait can park a
+    #: needs wake-ups to probe; without one the socket wait can park a
     #: full second per slice).
     _PROBE_SLICE = 0.25
 
-    def __init__(self, rank: int, size: int, config) -> None:
+    def __init__(
+        self,
+        rank: int,
+        size: int,
+        config,
+        peers: dict[int, socket.socket] | None = None,
+    ) -> None:
         self.rank = rank
         self.size = size
         self._config = config
@@ -281,10 +335,6 @@ class Transport(ABC):
         #: keeps the boundary at one `is None` test like the other
         #: hooks.
         self.flight = None
-        #: verify mode only (shm backend): dedicated per-pair duplex
-        #: pipes for the control rounds; ``None`` falls back to the
-        #: generic tagged-message control channel.
-        self.ctrl_conns: dict[int, object] | None = None
         #: elastic recovery: set when a revoke notice arrives on
         #: :data:`_REVOKE_TAG`; every blocked wait then raises
         #: :class:`WorldRevokedError` unless ``_in_recovery`` is set
@@ -292,6 +342,7 @@ class Transport(ABC):
         self.revoked = False
         self.revoked_hint: set[int] = set()
         self._in_recovery = False
+        self._finished: set[int] = set()  # peers that said bye
         self._pending: dict[tuple, deque] = {}
         self.sent_messages = 0
         self.sent_words = 0
@@ -300,6 +351,35 @@ class Transport(ABC):
         self.recv_words = 0
         self.recv_bytes = 0
         self.shm_messages = 0
+        self._sel = selectors.DefaultSelector()
+        self._peers: dict[int, socket.socket] = {}
+        self._rx: dict[int, bytearray] = {}
+        self._tx: dict[int, bytearray] = {}
+        # Peers whose connection closed, with the failure seen reading
+        # it ("" for a plain close); only a receive judges them.
+        self._gone: dict[int, str] = {}
+        self._deaf: set[int] = set()  # peers that refused a write
+        self._closed = False
+        # Guards _tx and socket writes: output the kernel could not take
+        # at once is left in _backlog for the writer thread.
+        self._tx_lock = threading.Condition()
+        self._backlog: set[int] = set()
+        self._writer: threading.Thread | None = None
+        # Reused receive buffer: a fresh 1 MiB bytes object per recv()
+        # costs an mmap/munmap pair, several times a small frame's
+        # whole trip.
+        self._scratch = memoryview(bytearray(_IO_CHUNK))
+        if peers:
+            self._attach(peers)
+
+    def _attach(self, peers: dict[int, socket.socket]) -> None:
+        """Adopt connected per-peer sockets as the wire."""
+        for peer, sock in peers.items():
+            sock.setblocking(False)
+            self._peers[peer] = sock
+            self._rx[peer] = bytearray()
+            self._tx[peer] = bytearray()
+            self._sel.register(sock, selectors.EVENT_READ, peer)
 
     def counters(self) -> tuple[int, ...]:
         return (
@@ -312,25 +392,207 @@ class Transport(ABC):
             self.shm_messages,
         )
 
-    # -- wire primitives (backend-specific) ---------------------------------
+    # -- the stream wire ----------------------------------------------------
 
-    @abstractmethod
     def _post(self, dest: int, tag: tuple, body: object) -> None:
         """Raw wire write of an already-encoded body — no counters, no
-        fault hooks (control traffic and free-credits ride this)."""
+        fault hooks (control traffic and free-credits ride this).
 
-    @abstractmethod
+        A peer that closed its connection can read nothing more, so
+        frames for it are dropped: the failure surfaces at the next
+        receive that depends on that peer (:meth:`_check_peer`), which
+        alone can tell a divergence from a death.
+        """
+        if dest in self._gone or dest in self._deaf:
+            return
+        det = self.race_detector
+        if det is not None:
+            det.channel_send((self.rank, dest))
+        if dest == self.rank:
+            # Self-sends never touch the wire: they land straight in
+            # the pending map.
+            self._note(dest, tag, body)
+            return
+        data = pickle.dumps((tag, body), protocol=pickle.HIGHEST_PROTOCOL)
+        with self._tx_lock:
+            buf = self._tx[dest]
+            buf += _LEN.pack(len(data))
+            buf += data
+            if self._flush(dest) or dest in self._backlog:
+                return
+            self._backlog.add(dest)
+            if self._writer is None:
+                self._writer = threading.Thread(
+                    target=self._write_backlog,
+                    name=f"transport-writer-r{self.rank}",
+                    daemon=True,
+                )
+                self._writer.start()
+            else:
+                self._tx_lock.notify()
+
     def _send_payload(self, dest: int, tag: tuple, payload: object) -> None:
         """Encode ``payload``, account it, and post it to ``dest``."""
+        arrays = _payload_arrays(payload)
+        if arrays is not None:
+            contig = [(k, _contig(a)) for k, a in arrays]
+            self.sent_words += sum(a.size for _, a in contig)
+            self.sent_bytes += sum(a.nbytes for _, a in contig)
+            body = self._encode(contig, isinstance(payload, np.ndarray))
+        else:
+            body = ("pkl", payload)
+        self.sent_messages += 1
+        self._post(dest, tag, body)
 
-    @abstractmethod
+    def _encode(
+        self, contig: list[tuple[object, np.ndarray]], single: bool
+    ) -> tuple:
+        """Wire body of a contiguous array payload (pickled in-frame;
+        protocol 5 keeps the encode side zero-copy)."""
+        return ("pkl", contig[0][1] if single else dict(contig))
+
+    def _flush(self, peer: int) -> bool:
+        """Write as much buffered output to ``peer`` as the kernel
+        accepts (caller holds ``_tx_lock``); True once none is left."""
+        buf = self._tx[peer]
+        sock = self._peers[peer]
+        while buf:
+            try:
+                n = sock.send(memoryview(buf)[:_IO_CHUNK])
+            except (BlockingIOError, InterruptedError):
+                return False
+            except OSError:
+                # The peer closed: drop what it can never read, and
+                # every later frame for it.  The read side still
+                # parses its last frames (a bye) and its EOF, in
+                # order, before judging it.
+                buf.clear()
+                self._deaf.add(peer)
+                break
+            del buf[:n]
+        return True
+
+    def _write_backlog(self) -> None:
+        """Writer thread: deliver the backlog as peers read it, so a
+        sender that returns to compute (or never calls the transport
+        again) still gets its frames through.  Exits on :meth:`close`,
+        which lingers over whatever is left."""
+        sel = selectors.DefaultSelector()
+        try:
+            while True:
+                with self._tx_lock:
+                    for peer in list(self._backlog):
+                        if self._flush(peer):
+                            self._backlog.discard(peer)
+                    while not self._backlog and not self._closed:
+                        self._tx_lock.wait()
+                    if self._closed:
+                        return
+                    socks = {self._peers[p]: p for p in self._backlog}
+                for key in list(sel.get_map().values()):
+                    if key.fileobj not in socks:
+                        sel.unregister(key.fileobj)
+                for sock, peer in socks.items():
+                    if sock not in sel.get_map():
+                        sel.register(sock, selectors.EVENT_WRITE, peer)
+                sel.select(0.01)
+        finally:
+            sel.close()
+
+    def _mark_gone(self, peer: int, why: str = "") -> None:
+        self._gone[peer] = why
+        try:
+            self._sel.unregister(self._peers[peer])
+        except (KeyError, ValueError):  # pragma: no cover - already out
+            pass
+
+    def _read(self, peer: int) -> None:
+        sock = self._peers[peer]
+        buf = self._rx[peer]
+        scratch = self._scratch
+        closed = False
+        while True:
+            try:
+                n = sock.recv_into(scratch)
+            except (BlockingIOError, InterruptedError):
+                break
+            except ConnectionResetError:
+                # The peer closed with our frames (credits, notices)
+                # still unread on its side: everything it sent has
+                # been read, so this is an ordinary close.
+                closed = True
+                break
+            except OSError as exc:
+                why = (
+                    f"rank {self.rank}: connection from rank {peer} "
+                    f"failed mid-recv ({exc})"
+                )
+                self._mark_gone(peer, why)
+                raise TransportClosedError(why) from exc
+            if not n:
+                closed = True
+                break
+            buf += scratch[:n]
+            if n < _IO_CHUNK:
+                break  # drained for now; selector wakes us for more
+        self._parse(peer)
+        if closed:
+            if not buf:
+                self._mark_gone(peer)
+                return
+            promised = (
+                _LEN.unpack_from(buf)[0] if len(buf) >= _LEN.size else None
+            )
+            why = (
+                f"rank {self.rank}: rank {peer} closed the connection "
+                f"mid-frame — partial recv of {len(buf)} bytes"
+                + (
+                    f" of a frame promising {promised}"
+                    if promised is not None
+                    else " (incomplete header)"
+                )
+                + " (torn frame)"
+            )
+            self._mark_gone(peer, why)
+            raise TransportClosedError(why)
+
+    def _parse(self, peer: int) -> None:
+        buf = self._rx[peer]
+        while len(buf) >= _LEN.size:
+            (n,) = _LEN.unpack_from(buf)
+            end = _LEN.size + n
+            if len(buf) < end:
+                break
+            tag, body = pickle.loads(bytes(memoryview(buf)[_LEN.size:end]))
+            del buf[:end]
+            self._note(peer, tag, body)
+
     def _pump(self, timeout: float) -> None:
         """Block up to ``timeout`` seconds for inbound traffic, moving
         every arrival into the pending buffers via :meth:`_note`."""
+        if not self._peers or self._closed:
+            if timeout > 0:
+                time.sleep(min(timeout, 0.01))
+            return
+        for key, _ in self._sel.select(timeout):
+            self._read(key.data)
 
     def _check_peer(self, src: int) -> None:
-        """Raise if ``src`` can no longer deliver (a vanished TCP peer);
-        the default backend has no such signal."""
+        """Raise if ``src`` closed its connection — called only once no
+        buffered message matches, so nothing more can arrive."""
+        if src not in self._gone or src == self.rank:
+            return
+        if src in self._finished:
+            raise CollectiveTimeoutError(
+                f"rank {self.rank}: rank {src} finished its program and "
+                "no buffered message matches — collective call sequences "
+                "have diverged across ranks"
+            )
+        raise TransportClosedError(
+            self._gone[src]
+            or f"rank {self.rank}: rank {src} closed its connection and "
+            "no buffered message matches — the peer failed or died"
+        )
 
     # -- shared plumbing ----------------------------------------------------
 
@@ -352,6 +614,9 @@ class Transport(ABC):
             except TypeError:  # pragma: no cover - malformed notice
                 pass
             return
+        if tag == _BYE_TAG:
+            self._finished.add(src)
+            return
         if clock is not None:
             # Carry the sender's clock with the body so the
             # happens-before edge is merged by the thread that
@@ -364,21 +629,23 @@ class Transport(ABC):
     def post_revoke(self, failed: set[int] | frozenset[int]) -> None:
         """Broadcast a revoke notice to every peer believed alive.
 
-        Best effort: posts to ranks not in ``failed`` and swallows
-        wire errors (a peer that died between detection and broadcast
-        is exactly who the notice is about).  Also revokes *this*
-        transport so the local rank cannot re-enter a collective.
+        Best effort: posts to ranks not in ``failed`` (a peer that
+        died between detection and broadcast is exactly who the
+        notice is about, and :meth:`_post` drops frames for closed
+        peers).  Also revokes *this* transport so the local rank
+        cannot re-enter a collective.
         """
         self.revoked = True
         self.revoked_hint.update(failed)
         notice = sorted(self.revoked_hint)
         for peer in range(self.size):
-            if peer == self.rank or peer in failed:
-                continue
-            try:
+            if peer != self.rank and peer not in failed:
                 self._post(peer, _REVOKE_TAG, notice)
-            except (OSError, CollectiveTimeoutError):
-                self.revoked_hint.add(peer)
+
+    def post_bye(self) -> None:
+        """Tell every peer this rank's program returned."""
+        for peer in self._peers:
+            self._post(peer, _BYE_TAG, None)
 
     def _check_revoked(self) -> None:
         if self.revoked and not self._in_recovery:
@@ -558,8 +825,33 @@ class Transport(ABC):
 
     # -- lifecycle ----------------------------------------------------------
 
-    def close(self) -> None:
-        """Release wire resources (sockets, segments, mappings)."""
+    def close(self, linger: float = 5.0) -> None:
+        """Flush buffered output (bounded by ``linger`` seconds), then
+        close every peer connection — peers see EOF.  Safe to call
+        twice."""
+        if self._closed:
+            return
+        with self._tx_lock:
+            self._closed = True
+            self._tx_lock.notify()
+        if self._writer is not None:
+            self._writer.join()
+        deadline = time.monotonic() + linger
+        for peer, sock in self._peers.items():
+            while peer not in self._gone and not self._flush(peer):
+                if time.monotonic() >= deadline:
+                    break
+                time.sleep(0.002)
+            try:
+                self._sel.unregister(sock)
+            except (KeyError, ValueError):
+                pass
+            try:
+                sock.close()
+            except OSError:  # pragma: no cover - already closed
+                pass
+        self._sel.close()
+        self._peers.clear()
 
     def purge(self) -> None:
         """Exception-path cleanup after a dead collective: release
@@ -588,17 +880,19 @@ class Transport(ABC):
 
 
 class ShmPoolTransport(Transport):
-    """Tagged point-to-point messaging over per-rank inbox queues.
+    """The stream wire over a fork-time ``socketpair`` mesh, with large
+    arrays riding pooled shared memory.
 
     Array payloads of at least ``CommConfig.shm_min_bytes`` travel
     through *pooled* ``multiprocessing.shared_memory`` segments: the
-    receiver copies the data out, caches its mapping, and returns the
-    segment name to the owner on :data:`_FREE_TAG` so the next send
-    reuses the already-faulted-in pages.  In steady state a large
-    message is two memcpys and one tiny control message — no pickling,
-    no pipe chunking, no segment creation.  ``close`` unlinks every
-    segment the rank still owns; ``run_spmd`` sweeps the run-token
-    prefix afterwards as a crash backstop.
+    frame carries only the segment header, the receiver copies the
+    data out, caches its mapping, and returns the segment name to the
+    owner on :data:`_FREE_TAG` so the next send reuses the
+    already-faulted-in pages.  In steady state a large message is two
+    memcpys and two tiny frames — no pickling of the data, no segment
+    creation.  ``close`` unlinks every pooled segment the rank owns;
+    ``run_spmd`` sweeps the run-token prefix afterwards as a backstop
+    for in-flight segments and crashed ranks.
     """
 
     kind = "shm"
@@ -610,15 +904,12 @@ class ShmPoolTransport(Transport):
         self,
         rank: int,
         size: int,
-        inboxes: list["mp.Queue"],
-        run_token: str,
         config,
+        peers: dict[int, socket.socket],
+        run_token: str,
     ) -> None:
-        super().__init__(rank, size, config)
-        self._inboxes = inboxes
-        self._inbox = inboxes[rank]
+        super().__init__(rank, size, config, peers)
         self._run_token = run_token
-        self._ctrl_pending: dict[int, deque] = {}
         self._shm_seq = 0
         self._owned: dict[str, object] = {}  # name -> SharedMemory
         self._seg_size: dict[str, int] = {}
@@ -629,7 +920,10 @@ class ShmPoolTransport(Transport):
 
     def _obtain_segment(self, total: int):
         """A segment with >= ``total`` bytes: pooled if available."""
-        self._drain_inbox()
+        try:
+            self._pump(0)  # credits that already arrived refill the pool
+        except TransportClosedError:
+            pass  # kept in _gone: the receive that waits on it reports it
         cls = _segment_class(total)
         free = self._free.get(cls)
         if free:
@@ -650,9 +944,11 @@ class ShmPoolTransport(Transport):
 
     def _release_segment(self, name: str) -> None:
         """An ack came back: pool the segment (or unlink the excess)."""
+        cls = self._seg_size.get(name)
+        if cls is None:
+            return  # purged after a dead collective: already unlinked
         if self.sanitizer is not None:
             self.sanitizer.on_release(name)
-        cls = self._seg_size[name]
         free = self._free.setdefault(cls, deque())
         if len(free) < self._POOL_CAP:
             free.append(name)
@@ -664,44 +960,31 @@ class ShmPoolTransport(Transport):
         if self.sanitizer is not None:
             self.sanitizer.on_unlink(name)
 
-    def _drain_inbox(self) -> None:
-        """Move queued arrivals into the pending buffers (non-blocking),
-        processing segment-return acks as they surface."""
-        while True:
-            try:
-                got_src, got_tag, body = self._inbox.get_nowait()
-            except queue_mod.Empty:
-                return
-            self._note(got_src, got_tag, body)
-
     def _note(self, src: int, tag: tuple, body: object) -> None:
-        if tag == _FREE_TAG:
-            det = self.race_detector
-            if det is not None:
-                # Consumer -> owner edge: the peer finished reading
-                # the segment before crediting it back, so the owner's
-                # next write to this segment is ordered after that
-                # read.  Credits ride a direct inbox put (not _post),
-                # hence their own channel key.
-                det.channel_recv(("free", src, self.rank))
-            self._release_segment(body)
+        if tag != _FREE_TAG:
+            super()._note(src, tag, body)
             return
-        super()._note(src, tag, body)
+        det = self.race_detector
+        if det is not None:
+            # Consumer -> owner edge: the peer finished reading the
+            # segment before crediting it back, so the owner's next
+            # write to this segment is ordered after that read.  The
+            # credit rode _post, so this pops its (src, dst) snapshot
+            # exactly as the base _note would.
+            det.channel_recv((src, self.rank))
+        self._release_segment(body)
 
-    def _pump(self, timeout: float) -> None:
-        try:
-            got_src, got_tag, body = self._inbox.get(timeout=timeout)
-        except queue_mod.Empty:
-            return
-        self._note(got_src, got_tag, body)
-
-    def close(self) -> None:
-        """Unlink pooled segments, unmap everything this rank touched.
+    def close(self, linger: float = 5.0) -> None:
+        """Unlink pooled segments, unmap everything this rank touched,
+        close the stream.
 
         In-flight segments (sent, not yet acked) stay on disk for the
         launcher's run-token sweep — a peer may not have attached yet.
         """
-        self._drain_inbox()
+        try:
+            self._pump(0)  # credits that already arrived
+        except CollectiveTimeoutError:
+            pass  # a peer died mid-frame; its credits are moot
         for free in self._free.values():
             for name in free:
                 shm = self._owned.pop(name)
@@ -714,12 +997,7 @@ class ShmPoolTransport(Transport):
         for shm in self._rx_cache.values():
             shm.close()
         self._rx_cache.clear()
-        if self.ctrl_conns is not None:
-            for conn in self.ctrl_conns.values():
-                try:
-                    conn.close()
-                except OSError:  # pragma: no cover - already closed
-                    pass
+        super().close(linger)
 
     def purge(self) -> None:
         """Unlink *every* segment this rank owns, pooled and in-flight.
@@ -731,7 +1009,7 @@ class ShmPoolTransport(Transport):
         run-token sweep.  Unlinking is safe even if a straggler is
         still attached — the mapping stays valid until it closes.
         """
-        self._drain_inbox()
+        super().purge()
         for name, shm in list(self._owned.items()):
             shm.close()
             _unlink_segment(shm)
@@ -744,55 +1022,36 @@ class ShmPoolTransport(Transport):
         if self.sanitizer is not None:
             self.sanitizer.clear()
 
-    # -- wire ---------------------------------------------------------------
+    # -- segment encode / decode --------------------------------------------
 
-    def _post(self, dest: int, tag: tuple, body: object) -> None:
-        det = self.race_detector
-        if det is not None:
-            det.channel_send((self.rank, dest))
-        self._inboxes[dest].put((self.rank, tag, body))
-
-    def _send_payload(self, dest: int, tag: tuple, payload: object) -> None:
-        arrays = _payload_arrays(payload)
-        body: tuple
-        if arrays is not None:
-            contig = [(k, _contig(a)) for k, a in arrays]
-            nbytes = sum(a.nbytes for _, a in contig)
-            words = sum(a.size for _, a in contig)
-            single = isinstance(payload, np.ndarray)
-            use_shm = (
-                _shm_mod is not None
-                and nbytes >= self._config.shm_min_bytes
-                and nbytes > 0
+    def _encode(
+        self, contig: list[tuple[object, np.ndarray]], single: bool
+    ) -> tuple:
+        nbytes = sum(a.nbytes for _, a in contig)
+        if (
+            _shm_mod is None
+            or nbytes == 0
+            or nbytes < self._config.shm_min_bytes
+        ):
+            return super()._encode(contig, single)
+        total = sum(_align8(a.nbytes) for _, a in contig)
+        shm, name = self._obtain_segment(total)
+        if self.race_detector is not None:
+            self.race_detector.on_access(("shm", name), "w")
+        metas: list[tuple[object, tuple, str, int]] = []
+        offset = 0
+        for key, a in contig:
+            view = np.ndarray(
+                a.shape, dtype=a.dtype, buffer=shm.buf, offset=offset
             )
-            if use_shm:
-                total = sum(_align8(a.nbytes) for _, a in contig)
-                shm, name = self._obtain_segment(total)
-                if self.race_detector is not None:
-                    self.race_detector.on_access(("shm", name), "w")
-                metas: list[tuple[object, tuple, str, int]] = []
-                offset = 0
-                for key, a in contig:
-                    view = np.ndarray(
-                        a.shape, dtype=a.dtype, buffer=shm.buf, offset=offset
-                    )
-                    view[...] = a
-                    del view
-                    metas.append((key, a.shape, a.dtype.str, offset))
-                    offset += _align8(a.nbytes)
-                body = ("shm", name, metas, single)
-                self.shm_messages += 1
-                if self.sanitizer is not None:
-                    self.sanitizer.on_send(name)
-            else:
-                body = ("pkl", {k: a for k, a in contig} if not single
-                        else contig[0][1])
-            self.sent_words += words
-            self.sent_bytes += nbytes
-        else:
-            body = ("pkl", payload)
-        self.sent_messages += 1
-        self._post(dest, tag, body)
+            view[...] = a
+            del view
+            metas.append((key, a.shape, a.dtype.str, offset))
+            offset += _align8(a.nbytes)
+        self.shm_messages += 1
+        if self.sanitizer is not None:
+            self.sanitizer.on_send(name)
+        return ("shm", name, metas, single)
 
     def _decode(self, src: int, body: tuple) -> object:
         kind = body[0]
@@ -818,90 +1077,20 @@ class ShmPoolTransport(Transport):
             )
             items.append((key, view.copy()))
             del view
-        # Hand the drained segment back to its owner for reuse.
-        if det is not None:
-            # Ordering edge for the credit (rides a direct inbox put,
-            # not _post — see the _FREE_TAG branch of _note).
-            det.channel_send(("free", self.rank, src))
-        self._inboxes[src].put((self.rank, _FREE_TAG, name))
+        # Hand the drained segment back to its owner for reuse.  An
+        # owner that already closed its stream never sees the credit;
+        # run_spmd's run-token sweep reclaims the segment.
+        self._post(src, _FREE_TAG, name)
         self.recv_words += sum(a.size for _, a in items)
         self.recv_bytes += sum(a.nbytes for _, a in items)
         if single:
             return items[0][1]
         return dict(items)
 
-    # -- verify-mode control channel over the duplex-pipe mesh --------------
-    #
-    # ``mp.Queue.put`` hands every message to a feeder thread, so a
-    # control round over the inbox queues pays two thread wake-ups per
-    # hop; ``Connection.send`` is a synchronous ``os.write``, which
-    # roughly halves the verifier's fixed per-collective latency.
-    # ``None`` entries fall back to the generic tagged-message channel
-    # (embedders driving the transport directly).
-
-    def ctrl_send(self, dest: int, tag: tuple, payload: object) -> None:
-        conns = self.ctrl_conns
-        if conns is not None and dest in conns:
-            conns[dest].send((tuple(tag), payload))
-            return
-        super().ctrl_send(dest, tag, payload)
-
-    def ctrl_recv(
-        self, src: int, tag: tuple, timeout: float | None = None
-    ) -> object:
-        conns = self.ctrl_conns
-        if conns is None or src not in conns:
-            return super().ctrl_recv(src, tag, timeout)
-        want = tuple(tag)
-        timeout = (
-            self._config.collective_timeout if timeout is None else timeout
-        )
-        # Out-of-round messages on the same pipe (a diverged peer, or
-        # two groups sharing this pair) park here, exactly like the
-        # queue channel's tag-keyed pending map.
-        pending = self._ctrl_pending.setdefault(src, deque())
-        for i, (got, payload) in enumerate(pending):
-            if got == want:
-                del pending[i]
-                return payload
-        conn = conns[src]
-        deadline = time.monotonic() + timeout
-        while True:
-            # The pipe wait must still observe revoke notices, which
-            # arrive on the inbox queue, not the ctrl pipes.
-            self._drain_inbox()
-            self._check_revoked()
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise CollectiveTimeoutError(
-                    f"rank {self.rank}: no control message from rank "
-                    f"{src} with tag {want!r} after {timeout:.1f}s — "
-                    f"collective call sequences have diverged across "
-                    f"ranks (or a peer died)"
-                )
-            if not conn.poll(min(remaining, 1.0)):
-                continue
-            try:
-                got, payload = conn.recv()
-            except EOFError:
-                raise CollectiveTimeoutError(
-                    f"rank {self.rank}: control channel to rank {src} "
-                    f"closed mid-round (peer died)"
-                ) from None
-            if got == want:
-                return payload
-            pending.append((got, payload))
-
 
 # ---------------------------------------------------------------------------
 # TCP socket backend
 # ---------------------------------------------------------------------------
-
-#: Frame header: 8-byte big-endian payload length.
-_LEN = struct.Struct(">Q")
-
-#: Per-syscall read/write granularity.
-_IO_CHUNK = 1 << 20
 
 
 def _sock_send_obj(sock: socket.socket, obj: object) -> None:
@@ -985,29 +1174,17 @@ def serve_rendezvous(
 
 
 class TcpSocketTransport(Transport):
-    """Length-prefixed pickled frames over per-peer TCP connections.
+    """The stream wire over per-peer persistent TCP connections.
 
     Mesh establishment: each rank opens its own listener on an
     ephemeral port, registers ``(rank, host, port)`` with the
     rendezvous server at ``rendezvous``, receives the full address
     map, then connects to every lower rank and accepts from every
     higher one (a rank handshake names the connector).  Connections
-    are persistent for the lifetime of the rank.
-
-    Steady state is non-blocking: ``send`` appends a frame to the
-    peer's write buffer and flushes opportunistically; ``recv`` pumps
-    a :mod:`selectors` loop that drains readable sockets (parsing
-    complete frames into the pending buffers) and flushes writable
-    ones — so symmetric exchanges progress even when both directions
-    exceed the kernel socket buffers.  A peer that disappears raises
-    :class:`TransportClosedError` at the next interaction (mid-frame
-    closes are reported as torn frames with the byte counts), feeding
-    the same failure paths as a collective timeout.
-
-    Wire format: ``8-byte big-endian length || pickle((tag, body))``.
-    Payload arrays are pickled (protocol 5 keeps them zero-copy on the
-    encode side); counters account array words/bytes exactly like the
-    shm backend, so traces match across backends.
+    are persistent for the lifetime of the rank; everything after
+    setup — framing, buffering, in-band death detection, the linger
+    close — is the shared :class:`Transport` stream wire, with every
+    array payload pickled in-frame.
     """
 
     kind = "tcp"
@@ -1024,20 +1201,15 @@ class TcpSocketTransport(Transport):
         advertise_host: str | None = None,
     ) -> None:
         super().__init__(rank, size, config)
-        self._sel = selectors.DefaultSelector()
-        self._peers: dict[int, socket.socket] = {}
-        self._rx: dict[int, bytearray] = {}
-        self._tx: dict[int, bytearray] = {}
-        self._writable: set[int] = set()  # peers with WRITE interest on
-        self._gone: set[int] = set()  # peers whose connection closed
-        self._closed = False
         if size > 1:
             if rendezvous is None:
                 raise ValueError(
                     "TcpSocketTransport needs a rendezvous (host, port) "
                     "for size > 1"
                 )
-            self._establish_mesh(rendezvous, bind_host, advertise_host)
+            self._attach(
+                self._establish_mesh(rendezvous, bind_host, advertise_host)
+            )
 
     # -- mesh setup ---------------------------------------------------------
 
@@ -1083,9 +1255,10 @@ class TcpSocketTransport(Transport):
         rendezvous: tuple[str, int],
         bind_host: str,
         advertise_host: str | None,
-    ) -> None:
+    ) -> dict[int, socket.socket]:
         timeout = self._connect_timeout
         deadline = time.monotonic() + timeout
+        peers: dict[int, socket.socket] = {}
         listener = open_rendezvous_listener(bind_host)
         try:
             port = listener.getsockname()[1]
@@ -1107,7 +1280,7 @@ class TcpSocketTransport(Transport):
                 sock = self._connect_retry(tuple(addrs[peer]), deadline)
                 sock.settimeout(timeout)
                 _sock_send_obj(sock, ("peer", self.rank))
-                self._peers[peer] = sock
+                peers[peer] = sock
             for _ in range(self.size - self.rank - 1):
                 listener.settimeout(max(0.1, deadline - time.monotonic()))
                 try:
@@ -1116,190 +1289,13 @@ class TcpSocketTransport(Transport):
                     raise CollectiveTimeoutError(
                         f"rank {self.rank}: mesh setup timed out waiting "
                         f"for higher-rank connections "
-                        f"({len(self._peers)} of {self.size - 1} peers up)"
+                        f"({len(peers)} of {self.size - 1} peers up)"
                     ) from None
                 sock.settimeout(timeout)
                 msg = _sock_recv_obj(sock)
-                self._peers[int(msg[1])] = sock
+                peers[int(msg[1])] = sock
         finally:
             listener.close()
-        for peer, sock in self._peers.items():
-            sock.setblocking(False)
+        for sock in peers.values():
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._rx[peer] = bytearray()
-            self._tx[peer] = bytearray()
-            self._sel.register(sock, selectors.EVENT_READ, peer)
-
-    # -- wire ---------------------------------------------------------------
-
-    def _post(self, dest: int, tag: tuple, body: object) -> None:
-        det = self.race_detector
-        if det is not None:
-            det.channel_send((self.rank, dest))
-        if dest == self.rank:
-            # Self-sends never touch the wire (the shm backend routes
-            # them through the own-inbox queue; here the pending map
-            # plays that role directly).
-            self._note(dest, tag, body)
-            return
-        data = pickle.dumps((tag, body), protocol=pickle.HIGHEST_PROTOCOL)
-        buf = self._tx[dest]
-        buf += _LEN.pack(len(data))
-        buf += data
-        self._flush(dest)
-
-    def _send_payload(self, dest: int, tag: tuple, payload: object) -> None:
-        arrays = _payload_arrays(payload)
-        if arrays is not None:
-            contig = [(k, _contig(a)) for k, a in arrays]
-            self.sent_words += sum(a.size for _, a in contig)
-            self.sent_bytes += sum(a.nbytes for _, a in contig)
-            single = isinstance(payload, np.ndarray)
-            body = ("pkl", contig[0][1] if single
-                    else {k: a for k, a in contig})
-        else:
-            body = ("pkl", payload)
-        self.sent_messages += 1
-        self._post(dest, tag, body)
-
-    def _set_write_interest(self, peer: int, want: bool) -> None:
-        if want == (peer in self._writable) or peer in self._gone:
-            return
-        events = selectors.EVENT_READ
-        if want:
-            events |= selectors.EVENT_WRITE
-            self._writable.add(peer)
-        else:
-            self._writable.discard(peer)
-        self._sel.modify(self._peers[peer], events, peer)
-
-    def _flush(self, peer: int) -> None:
-        """Write as much buffered output to ``peer`` as the kernel
-        accepts; leave the rest for the selector loop."""
-        buf = self._tx[peer]
-        sock = self._peers[peer]
-        while buf:
-            try:
-                n = sock.send(memoryview(buf)[:_IO_CHUNK])
-            except (BlockingIOError, InterruptedError):
-                break
-            except OSError as exc:
-                self._mark_gone(peer)
-                raise TransportClosedError(
-                    f"rank {self.rank}: connection to rank {peer} broke "
-                    f"mid-send ({exc}) — the peer died or closed early"
-                ) from exc
-            del buf[:n]
-        self._set_write_interest(peer, bool(buf))
-
-    def _mark_gone(self, peer: int) -> None:
-        self._gone.add(peer)
-        self._writable.discard(peer)
-        try:
-            self._sel.unregister(self._peers[peer])
-        except (KeyError, ValueError):  # pragma: no cover - already out
-            pass
-
-    def _read(self, peer: int) -> None:
-        sock = self._peers[peer]
-        buf = self._rx[peer]
-        closed = False
-        while True:
-            try:
-                chunk = sock.recv(_IO_CHUNK)
-            except (BlockingIOError, InterruptedError):
-                break
-            except OSError as exc:
-                self._mark_gone(peer)
-                raise TransportClosedError(
-                    f"rank {self.rank}: connection from rank {peer} "
-                    f"failed mid-recv ({exc})"
-                ) from exc
-            if not chunk:
-                closed = True
-                break
-            buf += chunk
-            if len(chunk) < _IO_CHUNK:
-                break  # drained for now; selector wakes us for more
-        self._parse(peer)
-        if closed:
-            self._mark_gone(peer)
-            if buf:
-                promised = (
-                    _LEN.unpack_from(buf)[0] if len(buf) >= _LEN.size
-                    else None
-                )
-                raise TransportClosedError(
-                    f"rank {self.rank}: rank {peer} closed the "
-                    f"connection mid-frame — partial recv of "
-                    f"{len(buf)} bytes"
-                    + (
-                        f" of a frame promising {promised}"
-                        if promised is not None
-                        else " (incomplete header)"
-                    )
-                    + " (torn frame)"
-                )
-
-    def _parse(self, peer: int) -> None:
-        buf = self._rx[peer]
-        while len(buf) >= _LEN.size:
-            (n,) = _LEN.unpack_from(buf)
-            end = _LEN.size + n
-            if len(buf) < end:
-                break
-            tag, body = pickle.loads(bytes(memoryview(buf)[_LEN.size:end]))
-            del buf[:end]
-            self._note(peer, tag, body)
-
-    def _pump(self, timeout: float) -> None:
-        if not self._peers or self._closed:
-            if timeout > 0:
-                time.sleep(min(timeout, 0.01))
-            return
-        for key, mask in self._sel.select(timeout):
-            peer = key.data
-            if mask & selectors.EVENT_WRITE:
-                self._flush(peer)
-            if mask & selectors.EVENT_READ:
-                self._read(peer)
-
-    def _check_peer(self, src: int) -> None:
-        if src in self._gone and src != self.rank:
-            raise TransportClosedError(
-                f"rank {self.rank}: rank {src} closed its connection and "
-                "no buffered message matches — the peer finished early, "
-                "diverged, or died"
-            )
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def close(self, linger: float = 5.0) -> None:
-        """Flush buffered output (bounded by ``linger`` seconds), then
-        close every peer connection.  Safe to call twice."""
-        if self._closed:
-            return
-        self._closed = True
-        deadline = time.monotonic() + linger
-        for peer, sock in self._peers.items():
-            buf = self._tx.get(peer)
-            while buf and peer not in self._gone:
-                if time.monotonic() >= deadline:
-                    break
-                try:
-                    n = sock.send(memoryview(buf)[:_IO_CHUNK])
-                    del buf[:n]
-                except (BlockingIOError, InterruptedError):
-                    time.sleep(0.002)
-                except OSError:
-                    break
-            try:
-                self._sel.unregister(sock)
-            except (KeyError, ValueError):
-                pass
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-        self._sel.close()
-        self._peers.clear()
+        return peers

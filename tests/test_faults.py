@@ -18,6 +18,7 @@ level by the tcp and launched rows of ``TestCrashDetection``
 """
 
 import glob
+import multiprocessing as mp
 import os
 import time
 
@@ -236,6 +237,37 @@ class TestCrashDetection:
         assert "last collectives" in msg
         assert "allreduce" in msg
         assert "phase=sweep" in msg
+
+
+class TestSpawnStartMethod:
+    def test_shm_world_and_crash_verdict_under_spawn(self):
+        """Spawned (not forked) ranks receive only their own socketpair
+        ends, so a clean shm run works and a rank's death still
+        reaches its peers in-band: same verdict as under fork."""
+        prev = mp.get_start_method(allow_none=True)
+        mp.set_start_method("spawn", force=True)
+        try:
+            out = run_spmd(_prog_rounds, 3, transport="shm", timeout=120)
+            for got in out:  # 6 rounds of sum_r (arange(8) + r)
+                np.testing.assert_array_equal(
+                    got, 6 * (3 * np.arange(8.0) + 3)
+                )
+            cfg = CommConfig(fault_plan=FaultPlan.kill(1, op_index=3))
+            with pytest.raises(RankFailureError) as ei:
+                run_spmd(
+                    _prog_rounds, 3, transport="shm", config=cfg,
+                    timeout=120,
+                )
+        finally:
+            mp.set_start_method(prev, force=True)
+        err = ei.value
+        assert err.failed_ranks == (1,)
+        assert err.aborted_ranks == (0, 2)
+        assert err.succeeded_ranks == ()
+        assert "injected crash" in str(err)
+        # Survivors saw the death in-band and shipped their rings; a
+        # survivor that only the launcher's teardown stopped has none.
+        assert set(err.flight_records) == {0, 1, 2}
 
 
 class TestFailureDetection:

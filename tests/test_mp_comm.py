@@ -7,6 +7,7 @@ timeout plumbing are certified on both.  ``TestTimeoutHygiene``'s shm
 segment-release test stays shm-only by construction (it inspects the
 pool internals)."""
 
+import glob
 import time
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from repro.core.sthosvd import sthosvd
 from repro.distributed.mp_sthosvd import mp_sthosvd
 from repro.tensor.random import tucker_plus_noise
-from repro.vmpi.mp_comm import ProcessComm, run_spmd
+from repro.vmpi.mp_comm import CommConfig, ProcessComm, run_spmd
 
 # Module-level SPMD programs (must be picklable).
 
@@ -64,6 +65,43 @@ def _prog_fail(comm: ProcessComm) -> None:
 
 def _prog_config_timeout(comm: ProcessComm) -> float:
     return float(comm.config.collective_timeout)
+
+
+#: Exactly ``CommConfig.shm_min_bytes`` of float64: rides a segment.
+_LEAVE_WORDS = CommConfig().shm_min_bytes // 8
+
+
+def _prog_send_and_leave(comm: ProcessComm) -> float:
+    if comm.rank == 0:
+        comm.send(1, np.ones(_LEAVE_WORDS))
+        return float(comm._t.shm_messages)
+    t = comm._t
+    while 0 not in t._gone:  # rank 0 finished and closed its stream
+        t._pump(0.05)
+    return float(comm.recv(0).sum())
+
+
+#: A 500 x 56 float64 factor matrix: 224 KB, below ``shm_min_bytes``
+#: (pickled in-frame) yet above a socketpair's ~208 KB kernel buffer.
+_FACTOR = (500, 56)
+_SENDER_COMPUTE = 3.0
+
+
+def _prog_send_then_compute(comm: ProcessComm, op: str) -> tuple:
+    """The sending side of ``op`` goes straight to a long compute
+    phase (no transport calls) after its send; every rank reports when
+    its collective returned."""
+    block = np.full(_FACTOR, float(comm.rank))
+    if op == "bcast":
+        out = comm.bcast(block if comm.rank == 0 else None, root=0)
+        sender = comm.rank == 0
+    else:
+        out = comm.gather(block, root=0)
+        sender = comm.rank != 0
+    done = time.time()
+    if sender:
+        time.sleep(_SENDER_COMPUTE)
+    return sender, done, out is not None
 
 
 def _prog_timeout_purge(comm: ProcessComm) -> dict:
@@ -206,6 +244,34 @@ class TestTimeoutHygiene:
         assert report["owned_after"] == 0
         assert report["leftover"] == []
         assert out[1]["sum"] == 0.0  # rank 1 received both payloads
+
+
+class TestShmCredits:
+    def test_credit_to_exited_owner_is_dropped(self):
+        """Rank 0 sends a segment-sized payload and finishes at once;
+        rank 1 decodes it only after rank 0 closed its stream.  The
+        free-credit back to the gone owner is dropped (not raised),
+        and the run-token sweep reclaims the segment."""
+        before = set(glob.glob("/dev/shm/mpx*"))
+        out = run_spmd(_prog_send_and_leave, 2, transport="shm", timeout=60)
+        assert out == [1.0, float(_LEAVE_WORDS)]
+        assert set(glob.glob("/dev/shm/mpx*")) <= before
+
+
+class TestShmProgress:
+    @pytest.mark.parametrize("op", ["bcast", "gather"])
+    def test_backlog_arrives_while_sender_computes(self, op):
+        """A frame larger than the kernel socket buffer reaches its
+        receivers while the sender computes: the writer thread delivers
+        the backlog, the sender need not call the transport again."""
+        out = run_spmd(
+            _prog_send_then_compute, 3, op, transport="shm", timeout=60
+        )
+        sent = max(done for sender, done, _ in out if sender)
+        for sender, done, got in out:
+            if not sender:
+                assert got
+                assert done - sent < _SENDER_COMPUTE / 2
 
 
 class TestMPSTHOSVD:

@@ -1,9 +1,12 @@
-"""Unit tests for the Transport ABC and its backends.
+"""Unit tests for the Transport stream wire and its backends.
 
-The suite drives :class:`TcpSocketTransport` *in process* — two or
-three transports meshed over loopback from threads — so framing,
-timeout, and lifecycle behavior is tested without the launcher in the
-way, plus launcher-shim smoke tests for ``repro run --backend tcp``.
+The suite drives both wires *in process* — :class:`TcpSocketTransport`
+meshed over loopback from threads, :class:`ShmPoolTransport` over a
+:func:`socketpair_mesh` — so framing, timeout, and lifecycle behavior
+is tested without the launcher in the way.  The ``TestTcp*`` classes
+build their meshes through the ``make_mesh`` fixture; the ``TestShm*``
+classes rerun the same cases with it rebound to the shm wire.  Plus
+launcher-shim smoke tests for ``repro run --backend tcp``.
 """
 
 from __future__ import annotations
@@ -14,11 +17,12 @@ import struct
 import subprocess
 import sys
 import threading
+import uuid
 
 import numpy as np
 import pytest
 
-from repro.vmpi.mp_comm import CommConfig
+from repro.vmpi.mp_comm import CommConfig, _sweep_shm
 from repro.vmpi.transport import (
     CollectiveTimeoutError,
     ShmPoolTransport,
@@ -27,6 +31,7 @@ from repro.vmpi.transport import (
     TransportClosedError,
     open_rendezvous_listener,
     serve_rendezvous,
+    socketpair_mesh,
 )
 
 
@@ -65,12 +70,49 @@ def _tcp_mesh(
     return out  # type: ignore[return-value]
 
 
+def _shm_mesh(
+    size: int, config: CommConfig | None, run_token: str
+) -> list[ShmPoolTransport]:
+    """``size`` ShmPoolTransports over one in-process socketpair mesh."""
+    config = config or CommConfig(collective_timeout=10.0)
+    return [
+        ShmPoolTransport(rank, size, config, ends, run_token)
+        for rank, ends in enumerate(socketpair_mesh(size))
+    ]
+
+
 @pytest.fixture
-def pair():
-    mesh = _tcp_mesh(2)
+def make_mesh():
+    """``make_mesh(size, config=None)``: an in-process mesh of the
+    wire under test (tcp here; the ``TestShm*`` classes rebind it)."""
+    return _tcp_mesh
+
+
+@pytest.fixture
+def pair(make_mesh):
+    mesh = make_mesh(2)
     yield mesh
     for t in mesh:
         t.close()
+
+
+class _OnShm:
+    """Rebinds ``make_mesh`` to the shm wire and sweeps every segment
+    the test's meshes left on ``/dev/shm`` (an in-flight segment whose
+    owner closed first is reclaimed by the run-token sweep, as in
+    ``run_spmd``)."""
+
+    @pytest.fixture
+    def make_mesh(self):
+        tokens: list[str] = []
+
+        def build(size, config=None):
+            tokens.append(uuid.uuid4().hex[:8])
+            return _shm_mesh(size, config, tokens[-1])
+
+        yield build
+        for token in tokens:
+            _sweep_shm(token)
 
 
 class TestTcpFraming:
@@ -197,17 +239,17 @@ class TestTcpTimeouts:
 
 
 class TestTcpLifecycle:
-    def test_double_close_is_safe(self):
-        mesh = _tcp_mesh(2)
+    def test_double_close_is_safe(self, make_mesh):
+        mesh = make_mesh(2)
         for t in mesh:
             t.close()
         for t in mesh:
             t.close()  # second close must be a no-op
 
-    def test_close_flushes_buffered_sends(self):
+    def test_close_flushes_buffered_sends(self, make_mesh):
         """A rank that sends and immediately closes must not lose the
         tail: close() drains the tx buffers before the FIN."""
-        a, b = _tcp_mesh(2)
+        a, b = make_mesh(2)
         payload = np.arange(200_000, dtype=np.float64)
         a.send(1, (1, "tail"), payload)
         a.close()
@@ -215,21 +257,20 @@ class TestTcpLifecycle:
         np.testing.assert_array_equal(got, payload)
         b.close()
 
-    def test_peer_close_raises_instead_of_full_timeout(self):
+    def test_peer_close_raises_instead_of_full_timeout(self, make_mesh):
         """After a peer's clean close, waiting on it raises promptly
         (TransportClosedError) instead of burning the whole
         collective timeout."""
-        a, b = _tcp_mesh(2, CommConfig(collective_timeout=30.0))
+        a, b = make_mesh(2, CommConfig(collective_timeout=30.0))
         a.close()
         with pytest.raises(TransportClosedError, match="closed"):
             b.recv(0, (1, "gone"), timeout=30.0)
         b.close()
 
-    def test_torn_frame_detected(self):
+    def test_torn_frame_detected(self, make_mesh):
         """A peer that dies mid-frame (header promised more bytes than
-        arrived) surfaces as a torn-frame TransportClosedError — the
-        failure mode shm cannot express."""
-        a, b = _tcp_mesh(2)
+        arrived) surfaces as a torn-frame TransportClosedError."""
+        a, b = make_mesh(2)
         # Rank 0 writes a raw frame header promising 1000 bytes, sends
         # only 2, then closes the socket underneath the transport.
         sock = a._peers[1]
@@ -243,10 +284,10 @@ class TestTcpLifecycle:
             b.recv(0, (1, "torn"), timeout=10.0)
         b.close()
 
-    def test_no_leaked_fds_after_close(self):
+    def test_no_leaked_fds_after_close(self, make_mesh):
         """Selector and sockets are released on close: the transport
         holds no live peer sockets afterwards."""
-        a, b = _tcp_mesh(2)
+        a, b = make_mesh(2)
         socks = list(a._peers.values())
         a.close()
         b.close()
@@ -261,6 +302,47 @@ class TestTcpLifecycle:
         assert b._pending
         b.purge()
         assert not b._pending
+
+
+class TestShmFraming(_OnShm, TestTcpFraming):
+    """The framing cases on the shm wire: payloads of at least
+    ``shm_min_bytes`` ride pooled segments, the rest are pickled
+    in-frame."""
+
+
+class TestShmTimeouts(_OnShm):
+    test_recv_timeout = TestTcpTimeouts.test_recv_timeout
+
+
+class TestShmLifecycle(_OnShm, TestTcpLifecycle):
+    """Closed-peer, torn-frame, linger and purge cases on the shm
+    wire."""
+
+    def test_segment_credit_returns_to_pool(self, pair):
+        """A drained segment's free-credit rides the stream back to
+        its owner, and the next large send reuses it."""
+        a, b = pair
+        big = np.arange(40_000, dtype=np.float64)  # 320 KB -> segment
+        a.send(1, (1, "x"), big)
+        b.recv(0, (1, "x"), timeout=10.0)
+        a.send(1, (2, "x"), big)
+        np.testing.assert_array_equal(b.recv(0, (2, "x"), timeout=10.0), big)
+        assert a.shm_messages == 2
+        assert len(a._owned) == 1  # one segment, reused
+
+    def test_every_post_pops_one_clock_snapshot(self, pair):
+        """Race-detector accounting: each _post — segment header and
+        free-credit alike — queues one clock snapshot on its (src,
+        dst) channel and its arrival pops exactly one."""
+        from repro.analysis.verify.races import RaceDetector
+
+        a, b = pair
+        a.race_detector = b.race_detector = det = RaceDetector()
+        a.send(1, (1, "x"), np.zeros(40_000))  # 320 KB -> segment
+        b.recv(0, (1, "x"), timeout=10.0)  # decode posts the credit
+        a._pump(1.0)  # the credit arrives
+        assert not det._channels.get((0, 1))
+        assert not det._channels.get((1, 0))
 
 
 class TestTransportContract:

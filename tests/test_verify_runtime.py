@@ -264,7 +264,7 @@ def _prog_double_release(comm: ProcessComm):
         comm.send(1, big, tag=0)
         comm.recv(1, tag=1)  # peer's reply implies the credit arrived
         t = comm._t
-        t._drain_inbox()
+        t._pump(0)
         name = next(iter(t._owned))
         t._note(1, _FREE_TAG, name)  # duplicated credit
         return None
