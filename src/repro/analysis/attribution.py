@@ -316,6 +316,20 @@ def _recovery_line(profile: RunProfile) -> str | None:
     return line
 
 
+def _blas_threads_label(profile: RunProfile) -> str:
+    """``", BLAS threads/rank N"`` from the ranks' ``blas_threads``
+    gauges (``N-M`` when they differ), or ``""`` when none carries it."""
+    counts = sorted({
+        int(g["blas_threads"])
+        for g in (p.metrics.get("gauges", {}) for p in profile.ranks)
+        if "blas_threads" in g
+    })
+    if not counts:
+        return ""
+    span = str(counts[0]) if len(counts) == 1 else f"{counts[0]}-{counts[-1]}"
+    return f", BLAS threads/rank {span}"
+
+
 def format_attribution_report(
     profile: RunProfile,
     model: dict[str, float] | None = None,
@@ -326,6 +340,7 @@ def format_attribution_report(
     phase_rows = attribution_rows(profile, model)
     header = (
         f"Measured-vs-modeled attribution ({profile.size} ranks"
+        + _blas_threads_label(profile)
         + (f", model: {model_label}" if model_label else "")
         + ")"
     )

@@ -55,6 +55,7 @@ from dataclasses import replace
 from repro.vmpi.mp_comm import (
     CommConfig,
     ProcessComm,
+    _budget_rank_blas,
     _rank_body,
     _ReportCollector,
 )
@@ -305,6 +306,7 @@ def _worker_main() -> int:
         return 2
     with open(os.environ[ENV_PROGRAM], "rb") as f:
         fn_bytes, args, cfg = pickle.load(f)
+    _budget_rank_blas(size)
     _rank_body(
         fn_bytes, rank, size,
         lambda status, payload: _post_frame(

@@ -49,6 +49,13 @@ path is empirically bit-identical to the tensordot path as well, but
 only the tight-tolerance equivalence is contractual: BLAS may choose a
 different (equally valid) accumulation blocking for the two
 formulations on small shapes.
+
+BLAS threads
+------------
+:func:`blas_threads` / :func:`limit_blas_threads` (:mod:`repro.kernels.blas`)
+read and cap the thread counts of the loaded OpenBLAS libraries; the
+rank runtime uses them to give each rank process its share of the
+CPUs.
 """
 
 from __future__ import annotations
@@ -61,11 +68,14 @@ from contextlib import contextmanager
 import numpy as np
 
 from repro.kernels import gemm
+from repro.kernels.blas import blas_threads, limit_blas_threads
 
 __all__ = [
     "BACKENDS",
     "backend_name",
+    "blas_threads",
     "gram",
+    "limit_blas_threads",
     "set_backend",
     "ttm",
     "use_backend",

@@ -274,17 +274,26 @@ def fit_alpha_beta(
     The standard postal-model fit used to characterize a transport
     from measured ping-style timings: ``alpha`` is the per-message
     latency (seconds), ``beta`` the per-byte cost (seconds/byte, the
-    inverse bandwidth).  ``beta`` is clamped at zero — with noisy
-    small-message timings the unconstrained slope can come out
-    (meaninglessly) negative.
+    inverse bandwidth).  The residuals are relative (each row weighted
+    by ``1/t``): timings span bytes to MiB, and an unweighted fit lets
+    the largest rows decide ``alpha``, which can then exceed the whole
+    time of a small message.  Both parameters are clamped at zero; a
+    clamped parameter's partner is refitted alone.
     """
     x = np.asarray(nbytes, dtype=float)
     y = np.asarray(seconds, dtype=float)
     if x.size != y.size or x.size < 2:
         raise ValueError("need >= 2 (bytes, seconds) samples to fit")
-    a = np.stack([np.ones_like(x), x], axis=1)
-    (alpha, beta), *_ = np.linalg.lstsq(a, y, rcond=None)
-    return float(alpha), float(max(beta, 0.0))
+    if np.any(y <= 0):
+        raise ValueError("timings must be positive")
+    # Relative residual (alpha + beta*x - y) / y in the columns 1/y, x/y.
+    a = np.stack([1.0 / y, x / y], axis=1)
+    (alpha, beta), *_ = np.linalg.lstsq(a, np.ones_like(y), rcond=None)
+    if alpha < 0:
+        alpha, beta = 0.0, a[:, 1].sum() / (a[:, 1] @ a[:, 1])
+    elif beta < 0:
+        alpha, beta = a[:, 0].sum() / (a[:, 0] @ a[:, 0]), 0.0
+    return float(alpha), float(beta)
 
 
 def transport_crossover_bytes(

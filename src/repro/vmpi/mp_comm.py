@@ -77,6 +77,7 @@ import multiprocessing as mp
 import numpy as np
 
 from repro.core.errors import NumericalFaultError
+from repro.kernels.blas import blas_threads, limit_blas_threads
 from repro.vmpi.collectives import select_allreduce_algorithm
 from repro.vmpi.faults import (
     EXIT_INJECTED_CRASH,
@@ -1478,11 +1479,21 @@ def _failure_report(exc: BaseException, comm: ProcessComm) -> dict:
     if fr is not None:
         fr.record("error", comm._op_id, comm.phase, repr(exc)[:200])
         report["flight"] = _flight_snapshot(comm)
-    prof = comm.profiler
-    if prof is not None:
-        prof.finalize_transport(comm._t)
-        report["profile"] = prof.rank_profile()
+    if comm.profiler is not None:
+        report["profile"] = _final_profile(comm.profiler, comm._t)
     return report
+
+
+def _final_profile(prof: Any, channel: Transport) -> Any:
+    """The rank's profile snapshot, with the process-wide gauges
+    stamped: the transport's byte/message counters and the BLAS
+    thread count the rank ran with (``blas_threads``, absent when no
+    OpenBLAS is loaded)."""
+    prof.finalize_transport(channel)
+    threads = blas_threads()
+    if threads is not None:
+        prof.metrics.gauge("blas_threads", float(threads))
+    return prof.rank_profile()
 
 
 def _rank_body(
@@ -1540,8 +1551,7 @@ def _rank_body(
         # into an error *before* it is posted (SPMD213).
         comm.verify_shutdown()
         if comm.profiler is not None:
-            comm.profiler.finalize_transport(channel)
-            post("profile", comm.profiler.rank_profile())
+            post("profile", _final_profile(comm.profiler, channel))
         # Ship the flight ring before the completion signal so an
         # early finisher's ring is available for a postmortem even
         # when *other* ranks later hang or die.
@@ -1585,6 +1595,24 @@ def _rank_body(
             pass
 
 
+def _budget_rank_blas(processes: int) -> None:
+    """Give this rank process its share of the CPUs for BLAS.
+
+    Sets every loaded OpenBLAS to ``min(current, max(1, usable CPUs //
+    processes))`` threads, so ``processes × threads`` never exceeds the
+    CPUs the run may use (``os.sched_getaffinity``) and a lower count
+    the user chose (``OPENBLAS_NUM_THREADS``, or a count the driver
+    set) is never raised.  Called once at the start of every rank
+    process, forked or launched, before any hosted-rank thread starts;
+    the driver's own BLAS state is left alone.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity API
+        cpus = os.cpu_count() or 1
+    limit_blas_threads(max(1, cpus // processes))
+
+
 def _queue_post(result_queue: "mp.Queue", rank: int) -> _Post:
     return lambda status, payload: result_queue.put((rank, status, payload))
 
@@ -1599,6 +1627,7 @@ def _p2p_worker(
     wire: dict[str, Any],
     ends: dict[int, dict[int, socket.socket]],
     foreign: Sequence[socket.socket],
+    processes: int,
 ) -> None:
     """One OS process hosting one or more logical ranks.
 
@@ -1614,9 +1643,12 @@ def _p2p_worker(
     hosted rank's socketpair ends (shm wire), and ``foreign`` the
     mesh ends a forked child inherited but does not own: they are
     closed first, so a rank's exit reaches its peers as EOF.
+    ``processes`` is the number of rank processes in the run, which
+    sets this process's BLAS thread budget (:func:`_budget_rank_blas`).
     """
     for sock in foreign:
         sock.close()
+    _budget_rank_blas(processes)
     ranks = list(ranks)
     if len(ranks) == 1:
         _rank_body(
@@ -2036,6 +2068,10 @@ def run_spmd(
     else:
         host_map = [[rank] for rank in range(size)]
     ctx = mp.get_context("spawn" if mp.get_start_method() == "spawn" else "fork")
+    # Resolve the OpenBLAS entry points here, once per driver process,
+    # so forked ranks inherit them instead of each paying for the
+    # lookup; this reads the driver's BLAS state and changes nothing.
+    blas_threads()
     result_queue: mp.Queue = ctx.Queue()
     run_token = uuid.uuid4().hex[:8]
     fn_bytes = pickle.dumps(fn)
@@ -2085,6 +2121,7 @@ def run_spmd(
                     sock for r, row in enumerate(mesh)
                     if forked and r not in hosted for sock in row.values()
                 ],
+                len(host_map),
             ),
         )
         for hosted in host_map

@@ -10,6 +10,7 @@ stays machine-parseable.
 """
 
 import json
+import os
 import re
 import time
 
@@ -26,6 +27,7 @@ from repro.core.hooi import HOOIOptions
 from repro.core.rank_adaptive import RankAdaptiveOptions
 from repro.distributed.mp_hooi import mp_hooi_dt, mp_rahosi_dt
 from repro.distributed.mp_sthosvd import mp_sthosvd
+from repro.kernels.blas import blas_threads
 from repro.observability.profile import RunProfile, validate_chrome_trace
 from repro.observability.spans import (
     Histogram,
@@ -65,6 +67,11 @@ def _prog_profiled_crash(comm: ProcessComm) -> float:
     if prof is not None:
         prof.end()
     return float(out.sum())
+
+
+def _prog_profiled_allreduce(comm: ProcessComm) -> float:
+    comm.phase = "ttm"
+    return float(comm.allreduce(np.ones(4))[0])
 
 
 class TestSpanProfiler:
@@ -338,6 +345,23 @@ class TestGatheredProfile:
         )
         hists = sink[0].metrics["histograms"]
         assert hists["checkpoint_write_seconds"]["count"] >= 1
+
+
+class TestBlasThreadsGauge:
+    def test_profiled_ranks_carry_their_budget(self, backend):
+        sink: dict[int, object] = {}
+        run_spmd(
+            _prog_profiled_allreduce, 2, transport=backend,
+            config=CommConfig(profile=True), profile_out=sink,
+        )
+        driver = blas_threads()
+        if driver is None:
+            pytest.skip("no OpenBLAS loaded")
+        want = min(driver, max(1, len(os.sched_getaffinity(0)) // 2))
+        for rank in (0, 1):
+            assert sink[rank].metrics["gauges"]["blas_threads"] == want
+        report = format_attribution_report(RunProfile.from_ranks(sink))
+        assert f"BLAS threads/rank {want})" in report.splitlines()[0]
 
 
 class TestFailurePath:

@@ -25,12 +25,14 @@ from repro.vmpi.collectives import (
     allreduce_crossover_words,
     allreduce_short_cost,
     bcast_cost,
+    fit_alpha_beta,
     gather_cost,
     rabenseifner_allreduce_cost,
     recursive_doubling_allreduce_cost,
     reduce_scatter_cost,
     reduce_scatter_halving_cost,
     select_allreduce_algorithm,
+    transport_crossover_bytes,
 )
 from repro.vmpi.mp_comm import CommConfig, run_spmd
 
@@ -229,3 +231,45 @@ def test_crossover_consistency():
         assert select_allreduce_algorithm(n_star * 2.0, p) == "long"
 
 
+# Sizes of the transport bench's fit: 8 B to 8 MiB.
+_FIT_BYTES = np.array([8.0 * 8**k for k in range(8)])
+
+
+class TestPostalFit:
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_recovers_alpha_and_beta_under_relative_noise(self, sign):
+        alpha, beta = 800e-6, 4e-9
+        noise = sign * 0.1 * (-1.0) ** np.arange(_FIT_BYTES.size)
+        t = (alpha + beta * _FIT_BYTES) * (1.0 + noise)
+        a, b = fit_alpha_beta(_FIT_BYTES, t)
+        assert a == pytest.approx(alpha, rel=0.25)
+        assert b == pytest.approx(beta, rel=0.25)
+
+    def test_alpha_clamped_at_zero(self):
+        t = 4e-9 * _FIT_BYTES * (1.0 + 0.1 * (-1.0) ** np.arange(8))
+        a, b = fit_alpha_beta(_FIT_BYTES, t)
+        assert a >= 0.0
+        assert b == pytest.approx(4e-9, rel=0.25)
+
+    def test_beta_clamped_at_zero(self):
+        a, b = fit_alpha_beta([8, 1 << 20], [2e-3, 1e-3])
+        assert b == 0.0
+        assert 1e-3 < a < 2e-3
+
+    def test_rejects_too_few_or_non_positive_rows(self):
+        with pytest.raises(ValueError):
+            fit_alpha_beta([8], [1e-3])
+        with pytest.raises(ValueError):
+            fit_alpha_beta([8, 16], [1e-3, 0.0])
+
+    def test_crossover_bytes(self):
+        # Lines cross where alpha_f + beta_f*n == alpha_s + beta_s*n.
+        assert transport_crossover_bytes(
+            (1e-4, 4e-9), (5e-4, 2e-9)
+        ) == pytest.approx(2e5)
+        # The low-latency wire is also the cheaper one per byte.
+        assert math.isinf(
+            transport_crossover_bytes((1e-4, 2e-9), (5e-4, 4e-9))
+        )
+        # The "slow" wire is never worse.
+        assert transport_crossover_bytes((5e-4, 4e-9), (1e-4, 2e-9)) == 0.0
